@@ -60,12 +60,13 @@ def bench_routing(repeats):
         compiled = compile_network(net)
         sources = np.asarray([a for a, _ in pairs], dtype=np.uint64)
         dests = np.asarray([b for _, b in pairs], dtype=np.uint64)
-        kernel = compiled.route_ring if net.metric == "ring" else compiled.route_xor
 
         scalar_s, delivered = best_of(
             lambda: sum(scalar(net, a, b).success for a, b in pairs), repeats
         )
-        batch_s, batch_result = best_of(lambda: kernel(sources, dests), repeats)
+        batch_s, batch_result = best_of(
+            lambda: compiled.route(sources, dests), repeats
+        )
         assert delivered == batch_result.delivered == len(pairs)
 
         out[label] = {

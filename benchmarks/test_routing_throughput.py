@@ -85,7 +85,7 @@ def test_route_crescendo_batch(benchmark):
     dests = np.asarray([b for _, b in pairs], dtype=np.uint64)
 
     def run():
-        return compiled.route_ring(sources, dests).delivered
+        return compiled.route(sources, dests).delivered
 
     assert benchmark(run) == len(pairs)
 
@@ -98,7 +98,7 @@ def test_route_kandy_xor_batch(benchmark):
     dests = np.asarray([b for _, b in pairs], dtype=np.uint64)
 
     def run():
-        return compiled.route_xor(sources, dests).delivered
+        return compiled.route(sources, dests).delivered
 
     assert benchmark(run) == len(pairs)
 

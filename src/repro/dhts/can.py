@@ -106,7 +106,11 @@ class PrefixTree:
         return left, right
 
     def grow(self, count: int, rng, policy: str = "random") -> List[PrefixId]:
-        """Grow the tree to ``count`` leaves via successive joins."""
+        """Grow the tree to ``count`` leaves via successive joins.
+
+        Under ``"random"`` a draw that lands in a full-length leaf is
+        re-drawn; growth fails only once no leaf can split.
+        """
         if policy not in ("random", "largest"):
             raise ValueError(f"unknown split policy {policy!r}")
         if not self.leaves:
@@ -116,6 +120,12 @@ class PrefixTree:
                 victim = min(self.leaves, key=lambda leaf: (leaf.length, leaf.value))
             else:
                 victim = self.leaf_for_key(rng.randrange(1 << self.bits))
+                while victim.length >= self.bits:
+                    # Leaves partition the space: only a full tree has no
+                    # leaf shorter than the identifier length.
+                    if len(self.leaves) >= 1 << self.bits:
+                        raise RuntimeError("cannot split a full-length identifier")
+                    victim = self.leaf_for_key(rng.randrange(1 << self.bits))
             self.split(victim)
         return sorted(self.leaves, key=lambda leaf: leaf.padded(self.bits))
 

@@ -7,41 +7,56 @@ into it (CSR style), and the index of every neighbor back into the id array
 scalar engine into a handful of vector ops over the whole active batch:
 
 - ring metric: a per-node matrix of clockwise neighbor distances, sorted
-  ascending and right-aligned with zero padding (column 0 is a permanent
-  zero pointing back at the node).  The non-overshooting clockwise
-  candidate of :func:`repro.core.routing._best_ring_step` is simply the
-  rightmost column ``<= remaining``, found with one ``argmax`` per hop;
-  "no valid step" falls out as a zero-distance self-step, so the loop has
-  no wrap, empty-list or validity fixups at all.
+  descending and left-aligned with zero padding pointing back at the node.
+  The non-overshooting clockwise candidate of
+  :func:`repro.core.routing._best_ring_step` is simply the first column
+  ``<= remaining``, found with one ``argmax`` per hop; "no valid step"
+  falls out as a zero-distance self-step, so the step has no wrap,
+  empty-list or validity fixups at all.
 - XOR metric: one *augmented* key array that is globally strictly
   increasing, built as ``(node_index << (bits + 1)) | (neighbor + 1)``
   with two sentinel entries per node (a low key mapping to the node's
   *last* neighbor, a high key to its *first*).  One ``np.searchsorted``
   then yields the successor/predecessor pair bracketing the destination —
-  the two candidates of :func:`repro.core.routing._best_xor_step` — with
-  the wrapped cases correct by construction.
+  the two candidates of :func:`repro.core.routing._best_xor_step` without
+  a filter — with the wrapped cases correct by construction.
 
-Both hot paths cost a few vector ops per hop over only the still-active
-routes, which is what makes the kernels an order of magnitude faster than
-the scalar engines (see ``BENCH_routing.json``).
+Routing is one greedy *step primitive* per metric plus one hop loop.  A step
+(:meth:`CompiledNetwork._ring_step`, :meth:`CompiledNetwork._xor_step`)
+advances every row of a frontier by one hop: it writes each row's next
+compiled position into a buffer the caller owns — its own position when the
+route has stopped, at its key or stuck — and keeps its scratch in a
+:class:`_Workspace` reused hop after hop.  :meth:`CompiledNetwork.route`
+runs the hop loop (``_drive``): it steps the whole batch until nothing
+moves, compacts the straggler tail, folds per-hop latency, records paths,
+resolves terminals and bumps the ``perf.batch.*`` counters.  :meth:`CompiledNetwork.frontier_step`
+(one serving tick) is one step plus terminal resolution, and
+:meth:`repro.perf.storage.CompiledStore.batch_get` takes the ring step once
+per hop of its walk.
 
-Routing proceeds frontier-at-a-time: each iteration advances every
-still-active route by one hop, and finished routes are compacted out.
-Under an ``alive`` filter the binary-search shortcut no longer applies (the
-scalar engines scan), so the kernels expand the active frontier's neighbor
-lists flat and reduce per segment with ``np.maximum.reduceat`` /
-``np.minimum.reduceat`` — still one vectorized pass per hop.
+Under an ``alive`` filter the steps take a per-position alive mask:
+
+- ring: the matrix pick is taken as usual and only the rows whose pick is
+  dead are rescanned (a segment scan over their neighbor lists,
+  :meth:`CompiledNetwork._scan`).  This is exact: when the largest
+  non-overshooting neighbor is alive it is also the largest live one.
+- XOR: every candidate is scanned.  The scalar reference defines the two
+  XOR rules differently — without a filter it takes the best of the
+  bracketing pair, with one the XOR-nearest live neighbor — and the
+  bracketing pair is not always the XOR-nearest (neighbors {8, 15, 16},
+  key 7: the pair is 8 and the wrapped 16, the nearest is 15).  A
+  pick-then-rescan would therefore change XOR outcomes.
 
 Every branch replicates the corresponding scalar branch exactly, so batch
 results are hop-for-hop identical to :func:`~repro.core.routing.route_ring`
 and :func:`~repro.core.routing.route_xor` (property-tested across all ten
-DHT families in ``tests/test_perf_kernels.py``).
+DHT families and both entry points in ``tests/test_perf_kernels.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,10 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 __all__ = [
     "BatchResult",
     "CompiledNetwork",
-    "InFlightFrontier",
     "batch_route",
-    "batch_route_ring",
-    "batch_route_xor",
     "compile_network",
 ]
 
@@ -111,40 +123,6 @@ class BatchResult:
         for path, ok, dest in zip(self.paths, self.success, self.dest_keys):
             yield Route(path, bool(ok), int(dest))
 
-
-@dataclass
-class InFlightFrontier:
-    """Resumable in-flight lookup state for frontier-at-a-time serving.
-
-    One row per lookup; the serving runtime (and any other caller that
-    needs to interleave policy between hops) advances all not-yet-done
-    rows exactly one greedy hop per :meth:`CompiledNetwork.step_frontier`
-    call.  Stepping a frontier to quiescence produces hops, terminals,
-    success flags and per-route latency identical to a single
-    :meth:`CompiledNetwork.route` call over the same pairs — the batch
-    loops and this struct share the per-hop primitives, only the loop
-    ownership differs.
-
-    ``cur`` holds node *ids* (not compiled positions), so the state
-    survives recompilation of the network view between steps: under churn
-    a caller can rebuild the CSR snapshot each tick and keep stepping the
-    same frontier.
-    """
-
-    cur: np.ndarray  # uint64 current node id per lookup
-    dest: np.ndarray  # uint64 destination key per lookup
-    hops: np.ndarray  # int64 hops taken so far
-    done: np.ndarray  # bool: a terminal decision was reached
-    success: np.ndarray  # bool: the scalar engines' verdict (valid where done)
-    latency_ms: np.ndarray  # float64 strict left fold of per-hop ms
-
-    @property
-    def size(self) -> int:
-        return int(self.cur.size)
-
-    @property
-    def active(self) -> int:
-        return int(np.count_nonzero(~self.done))
 
 
 class CompiledNetwork:
@@ -406,31 +384,6 @@ class CompiledNetwork:
             return None
         return np.asarray(_sorted_live(alive), dtype=_U64)
 
-    def _flat_frontier(
-        self, c: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat-expand the neighbor lists of the frontier nodes ``c``.
-
-        Returns ``(nz, seg_starts, flat, cnz)`` where ``nz`` indexes the
-        frontier rows that have neighbors at all, ``flat`` indexes
-        ``self.neighbors`` for every candidate, and ``seg_starts`` marks the
-        per-row segment boundaries within ``flat`` (for ``reduceat``).
-        """
-        start = self.indptr[c]
-        counts = self.indptr[c + 1] - start
-        nz = np.nonzero(counts > 0)[0]
-        cnz = counts[nz]
-        seg_starts = np.zeros(nz.size, dtype=np.int64)
-        if nz.size > 1:
-            np.cumsum(cnz[:-1], out=seg_starts[1:])
-        total = int(cnz.sum())
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(seg_starts, cnz)
-            + np.repeat(start[nz], cnz)
-        )
-        return nz, seg_starts, flat, cnz
-
     def _latency_state(
         self, latency: Optional["LatencyTable"]
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.float64]]:
@@ -464,7 +417,13 @@ class CompiledNetwork:
     def _xor_closest(
         self, cur_ids: np.ndarray, keys: np.ndarray, alive_arr: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Vectorized ``_is_xor_closest``: nearest is adjacent to the key."""
+        """Vectorized ``_is_xor_closest``: best of the key's two sorted neighbors.
+
+        Like the scalar check, this treats the XOR-nearest element as one
+        of the two entries around the key's insertion point, which does not
+        hold in general (see the module docstring); it mirrors the
+        reference exactly until the reference is fixed.
+        """
         ref = self.ids if alive_arr is None else alive_arr
         if ref.size == 0:
             return np.zeros(cur_ids.shape, dtype=bool)
@@ -474,483 +433,186 @@ class CompiledNetwork:
         best = np.minimum(succ ^ keys, pred ^ keys)
         return (cur_ids ^ keys) == best
 
-    # ------------------------------------------------------------ ring steps
-
-    def _ring_step_alive(
+    def _verdict(
         self,
-        c: np.ndarray,
+        metric: str,
         cur_ids: np.ndarray,
-        remaining: np.ndarray,
-        alive_arr: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Filtered ring step: max live non-overshooting progress (scan)."""
-        nxt = np.zeros(c.shape, dtype=np.int64)
-        ok = np.zeros(c.shape, dtype=bool)
-        nz, seg_starts, flat, cnz = self._flat_frontier(c)
-        if nz.size == 0:
-            return nxt, ok
-        cand = self.neighbors[flat]
-        dist = (cand - np.repeat(cur_ids[nz], cnz)) & self.mask
-        valid = (
-            _in_sorted(alive_arr, cand)
-            & (dist > _ZERO)
-            & (dist <= np.repeat(remaining[nz], cnz))
-        )
-        score = np.where(valid, dist, _ZERO)
-        best = np.maximum.reduceat(score, seg_starts)
-        prog = best > _ZERO
-        if np.any(prog):
-            # Ring distances from one node are distinct, so each progressing
-            # segment has exactly one candidate matching its maximum.
-            hit = (score == np.repeat(best, cnz)) & np.repeat(prog, cnz)
-            rows = nz[np.repeat(np.arange(nz.size), cnz)[hit]]
-            nxt[rows] = self.nbr_pos[flat[hit]]
-            ok[rows] = True
-        return nxt, ok
-
-    # ------------------------------------------------------------- xor steps
-
-    def _xor_step_alive(
-        self, c: np.ndarray, d: np.ndarray, cur_dist: np.ndarray, alive_arr: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Filtered XOR step: min live XOR distance if strictly closer."""
-        nxt = np.zeros(c.shape, dtype=np.int64)
-        ok = np.zeros(c.shape, dtype=bool)
-        nz, seg_starts, flat, cnz = self._flat_frontier(c)
-        if nz.size == 0:
-            return nxt, ok
-        cand = self.neighbors[flat]
-        dist = cand ^ np.repeat(d[nz], cnz)
-        valid = _in_sorted(alive_arr, cand) & (dist < np.repeat(cur_dist[nz], cnz))
-        score = np.where(valid, dist, _FAR)
-        best = np.minimum.reduceat(score, seg_starts)
-        prog = best != _FAR
-        if np.any(prog):
-            hit = (score == np.repeat(best, cnz)) & np.repeat(prog, cnz)
-            rows = nz[np.repeat(np.arange(nz.size), cnz)[hit]]
-            nxt[rows] = self.nbr_pos[flat[hit]]
-            ok[rows] = True
-        return nxt, ok
-
-    # --------------------------------------------------------------- routing
-
-    def route_ring(
-        self,
-        sources: Sequence[int],
-        dest_keys: Sequence[int],
-        alive: Optional[Set[int]] = None,
-        paths: bool = False,
-        latency: Optional["LatencyTable"] = None,
-    ) -> BatchResult:
-        """Batch greedy clockwise routing, identical to ``route_ring``."""
-        src, dest = _as_batch(sources, dest_keys)
-        lat_state = self._latency_state(latency)
-        if alive is None:
-            return self._route_ring_fast(src, dest, paths, lat_state)
-        return self._route_ring_alive(
-            src, dest, self._alive_array(alive), paths, lat_state
-        )
-
-    def _route_ring_fast(
-        self,
-        src: np.ndarray,
         dest: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """No-filter ring loop over the padded distance matrix.
+        alive_arr: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """The scalar engines' success flag for routes stopped at ``cur_ids``.
 
-        Per hop: gather the active rows of :meth:`_ring_matrix` (distances
-        descending), find the first column ``<= remaining`` with one
-        ``argmax``, and step to its position.  A self-step (chosen distance
-        zero) means finished — at the key or stuck — and is *free*, so the
-        loop never compacts per iteration: the frontier keeps its size,
-        every per-hop op writes into a preallocated buffer, hop counts are
-        just ``hops += moved`` and the loop ends when nothing moved.  Each
-        time under half of the routes still move, the survivors are
-        compacted (the straggler tail otherwise dominates: max hops runs
-        well past the mean).  Success and terminals are
-        resolved in one vectorized pass afterwards; only routes stuck short
-        of their key (key lookups, never node-to-node traffic) pay a
-        responsible-node search then.
+        At the key; otherwise (stuck) the node must be responsible for the
+        key (ring) or XOR-closest to it (xor) among ``alive_arr``, or among
+        all nodes when that is ``None``.
         """
-        m = src.size
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
+        if metric == "ring":
+            ok = ((dest - cur_ids) & self.mask) == _ZERO
+            check = self._responsible
+        else:
+            ok = (cur_ids ^ dest) == _ZERO
+            check = self._xor_closest
+        stuck = np.flatnonzero(~ok)
+        if stuck.size:
+            ok[stuck] = check(cur_ids[stuck], dest[stuck], alive_arr)
+        return ok
+
+    # ------------------------------------------------------- step primitives
+
+    def _stepper(self, metric: str):
+        """The metric's step primitive and the position dtype it writes."""
+        if metric == "ring":
+            return self._ring_step, self._ring_matrix()[1].dtype
+        if metric == "xor":
+            return self._xor_step, np.dtype(np.int32 if self.n < 2**31 else np.intp)
+        raise ValueError(f"unknown metric {metric!r}")
+
+    def _scan(self, c: np.ndarray, live: np.ndarray, score) -> np.ndarray:
+        """Segment scan: each row of ``c`` to its live neighbor of least score.
+
+        ``score(cand, row)`` rates every candidate neighbor id ``cand`` of
+        frontier row ``row`` (``_FAR`` where it is no valid step).  The
+        frontier's neighbor lists are expanded flat and reduced per row
+        with one ``np.minimum.reduceat``.  Scores are distinct within a row
+        (ring and XOR distances from one node to distinct neighbors), so a
+        row's minimum picks exactly one candidate; a row with no live valid
+        candidate keeps its own position.
+        """
+        out = c.copy()
+        start = self.indptr[c]
+        counts = self.indptr[c + 1] - start
+        nz = np.flatnonzero(counts)
+        if nz.size == 0:
+            return out
+        cnz = counts[nz]
+        seg = np.zeros(nz.size, dtype=np.int64)
+        np.cumsum(cnz[:-1], out=seg[1:])
+        row = np.repeat(nz, cnz)
+        flat = (
+            np.arange(int(cnz.sum()), dtype=np.int64)
+            - np.repeat(seg, cnz)
+            + np.repeat(start[nz], cnz)
+        )
+        s = score(self.neighbors[flat], row)
+        s[~live[self.nbr_pos[flat]]] = _FAR
+        best = np.minimum.reduceat(s, seg)
+        hit = np.flatnonzero((s == np.repeat(best, cnz)) & (s != _FAR))
+        out[row[hit]] = self.nbr_pos[flat[hit]]
+        return out
+
+    def _ring_step(
+        self,
+        cur: np.ndarray,
+        dest: np.ndarray,
+        live: Optional[np.ndarray],
+        ws: "_Workspace",
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """One greedy clockwise hop per row; next positions into ``out``.
+
+        Gathers each row of :meth:`_ring_matrix` (distances descending) and
+        takes the first column ``<= remaining`` with one ``argmax``: the
+        best non-overshooting neighbor, or a zero-distance self-step when
+        none exists.  ``out`` must have the matrix's position dtype.  With a
+        ``live`` mask only the rows whose pick is dead are rescanned — the
+        largest non-overshooting neighbor, when alive, is also the largest
+        live one, which is what the scalar filtered step takes.
+        """
         dist2d, posflat, ids_small = self._ring_matrix()
-        dt = dist2d.dtype.type
-        width = dist2d.shape[1]
-        # mask only when the id space doesn't fill the dtype (wrap is free).
-        small_mask = None if int(self.mask) == np.iinfo(dt).max else dt(self.mask)
-        # Position buffers follow posflat's (possibly int32) dtype: ``take``
-        # with ``out=`` requires an exact dtype match, and the smaller
-        # buffers halve the gather traffic of the hot loop.
-        cur = self._positions(src).astype(posflat.dtype)
-        dsm = dest.astype(dt)
-        hops = np.zeros(m, dtype=np.int64)
-        curid = np.empty(m, dtype=dt)
-        rem = np.empty(m, dtype=dt)
-        rem2 = rem[:, None]
-        rows = np.empty((m, width), dtype=dt)
-        le = np.empty((m, width), dtype=bool)
-        idx = np.empty(m, dtype=np.intp)
-        nxt = np.empty(m, dtype=posflat.dtype)
-        moved = np.empty(m, dtype=bool)
-        sel: Optional[np.ndarray] = None  # original index of each survivor
-        full_cur = full_hops = full_dsm = None
-        for _ in range(MAX_HOPS + 1):
-            ids_small.take(cur, out=curid)
-            np.subtract(dsm, curid, out=rem)
-            if small_mask is not None:
-                np.bitwise_and(rem, small_mask, out=rem)
-            dist2d.take(cur, axis=0, out=rows)
-            np.less_equal(rows, rem2, out=le)
-            p = le.argmax(axis=1)
-            # dtype= forces the flat index math into intp even when ``cur``
-            # is int32 (row * width can overflow int32 on huge tables).
-            np.multiply(cur, width, out=idx, dtype=np.intp)
-            np.add(idx, p, out=idx)
-            posflat.take(idx, out=nxt)
-            np.not_equal(nxt, cur, out=moved)
-            cnt = np.count_nonzero(moved)
-            if not cnt:
-                break
-            np.add(hops, moved, out=hops)
-            cur, nxt = nxt, cur
-            if lat is not None:
-                # After the swap ``nxt`` holds the previous positions.
-                # Accumulating into the full-length ``lat`` per hop (rather
-                # than folding at compaction) keeps each route's additions
-                # a strict left fold in hop order — bit-identical to the
-                # scalar per-hop sum.
-                hrows = np.flatnonzero(moved)
-                orig = hrows if sel is None else sel[hrows]
-                lat[orig] += lhop2 + lmat[
-                    lr[nxt[hrows]], lr[cur[hrows]]
-                ].astype(np.float64)
-            if path_lists is not None:
-                for ri in np.flatnonzero(moved).tolist():
-                    oi = ri if sel is None else int(sel[ri])
-                    path_lists[oi].append(int(self.ids[cur[ri]]))
-            if cnt * 2 < cur.size:
-                # Tail compaction.  Fresh small arrays for cur/nxt — the
-                # old ping-pong buffers still back ``full_cur``, so slicing
-                # them would corrupt finished routes' positions.
-                survivors = np.flatnonzero(moved)
-                if sel is None:
-                    full_cur, full_hops, full_dsm = cur, hops, dsm
-                    sel = survivors
-                else:
-                    full_hops[sel] += hops
-                    full_cur[sel] = cur
-                    sel = sel[survivors]
-                k = survivors.size
-                cur = cur[survivors]
-                dsm = dsm[survivors]
-                hops = np.zeros(k, dtype=np.int64)
-                curid, rem = curid[:k], rem[:k]
-                rem2 = rem[:, None]
-                rows, le, idx = rows[:k], le[:k], idx[:k]
-                nxt = np.empty(k, dtype=posflat.dtype)
-                moved = moved[:k]
-        else:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        if sel is not None:
-            full_hops[sel] += hops
-            full_cur[sel] = cur
-            cur, hops, dsm = full_cur, full_hops, full_dsm
-        terminal = self.ids[cur]
-        final_rem = dsm - ids_small.take(cur)
-        if small_mask is not None:
-            final_rem &= small_mask
-        success = final_rem == dt(0)
-        stuck = np.flatnonzero(~success)
-        if stuck.size:
-            rp = (
-                np.searchsorted(self.ids, dest[stuck], side="right")
-                .astype(np.int64) - 1
-            )
-            resp = np.where(rp < 0, self.n - 1, rp)
-            success[stuck] = cur[stuck] == resp
-        return self._result(src, dest, hops, terminal, success, path_lists, lat)
+        dt = dist2d.dtype
+        k, width = cur.size, dist2d.shape[1]
+        curid = ws.get("curid", k, dt)
+        rem = ws.get("rem", k, dt)
+        rows = ws.get("rows", k, dt, width)
+        le = ws.get("le", k, bool, width)
+        idx = ws.get("idx", k, np.intp)
+        ids_small.take(cur, out=curid)
+        np.subtract(dest, curid, out=rem)
+        if int(self.mask) != np.iinfo(dt).max:
+            # Mask only when the id space doesn't fill the dtype (wrap is free).
+            np.bitwise_and(rem, dt.type(self.mask), out=rem)
+        dist2d.take(cur, axis=0, out=rows)
+        np.less_equal(rows, rem[:, None], out=le)
+        # dtype= forces the flat index math into intp even when ``cur`` is
+        # int32 (row * width can overflow int32 on huge tables).
+        np.multiply(cur, width, out=idx, dtype=np.intp)
+        np.add(idx, le.argmax(axis=1), out=idx)
+        posflat.take(idx, out=out)
+        if live is not None:
+            dead = np.flatnonzero((out != cur) & ~live[out])
+            if dead.size:
+                c = cur[dead]
+                cur_ids = self.ids[c]
+                remaining = (dest[dead] - cur_ids) & self.mask
 
-    def _route_ring_alive(
+                def score(cand, row):
+                    dist = (cand - cur_ids[row]) & self.mask
+                    r = remaining[row]
+                    return np.where((dist > _ZERO) & (dist <= r), r - dist, _FAR)
+
+                out[dead] = self._scan(c, live, score)
+        return out
+
+    def _xor_step(
         self,
-        src: np.ndarray,
+        cur: np.ndarray,
         dest: np.ndarray,
-        alive_arr: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """Filtered ring loop: per-hop segment scan over the frontier."""
-        m = src.size
-        cur = self._positions(src)
-        hops = np.zeros(m, dtype=np.int64)
-        success = np.zeros(m, dtype=bool)
-        terminal = cur.copy()
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        active = np.arange(m, dtype=np.int64)
-        for _ in range(MAX_HOPS + 1):
-            if active.size == 0:
-                break
-            c = cur[active]
-            d = dest[active]
-            cur_ids = self.ids[c]
-            remaining = (d - cur_ids) & self.mask
-            at_dest = remaining == _ZERO
-            if np.any(at_dest):
-                fin = active[at_dest]
-                success[fin] = True
-                terminal[fin] = cur[fin]
-                active = active[~at_dest]
-                c, cur_ids, remaining = c[~at_dest], cur_ids[~at_dest], remaining[~at_dest]
-            if active.size == 0:
-                break
-            nxt, has_step = self._ring_step_alive(c, cur_ids, remaining, alive_arr)
-            stuck = active[~has_step]
-            if stuck.size:
-                success[stuck] = self._responsible(
-                    self.ids[cur[stuck]], dest[stuck], alive_arr
-                )
-                terminal[stuck] = cur[stuck]
-            adv = active[has_step]
-            if adv.size:
-                new_pos = nxt[has_step]
-                if lat is not None:
-                    lat[adv] += lhop2 + lmat[
-                        lr[cur[adv]], lr[new_pos]
-                    ].astype(np.float64)
-                cur[adv] = new_pos
-                hops[adv] += 1
-                if path_lists is not None:
-                    for ri, nid in zip(adv.tolist(), self.ids[new_pos].tolist()):
-                        path_lists[ri].append(nid)
-            active = adv
-        if active.size:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        return self._result(
-            src, dest, hops, self.ids[terminal], success, path_lists, lat
-        )
+        live: Optional[np.ndarray],
+        ws: "_Workspace",
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """One greedy XOR hop per row; next positions into ``out``.
 
-    def route_xor(
-        self,
-        sources: Sequence[int],
-        dest_keys: Sequence[int],
-        alive: Optional[Set[int]] = None,
-        paths: bool = False,
-        latency: Optional["LatencyTable"] = None,
-    ) -> BatchResult:
-        """Batch greedy XOR routing, identical to ``route_xor``."""
-        src, dest = _as_batch(sources, dest_keys)
-        lat_state = self._latency_state(latency)
-        if alive is None:
-            return self._route_xor_fast(src, dest, paths, lat_state)
-        return self._route_xor_alive(
-            src, dest, self._alive_array(alive), paths, lat_state
-        )
-
-    def _route_xor_fast(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """No-filter XOR loop: the bracketing pair via one searchsorted.
-
-        ``searchsorted(aug, caug | (d + 1), "left")`` is the first neighbor
-        ``>= d`` (or the high sentinel, i.e. the wrapped successor) and the
-        entry before it is the predecessor (or the low sentinel, the wrapped
-        one) — the exact two candidates the scalar scan reduces to.  The
-        predecessor wins only when strictly closer than both the successor
-        and the current node, mirroring the scalar scan order.
-
-        Like the ring loop, the hot loop reuses preallocated per-hop
-        workspace (``searchsorted`` itself allocates its index result;
-        every other op writes into a standing buffer) and keeps finished
-        routes in the frontier instead of boolean-filtering eight arrays
-        every iteration: a finished route recomputes the same candidate
-        pair, fails ``ok`` again, and is masked out of the in-place
-        updates.  The straggler tail is compacted away whenever under half
-        the batch is still moving, and success resolution (the stuck-route
-        closest-node check) runs once over the whole batch at the end
-        instead of a per-bit trie descent on every iteration that finishes
-        any route.
+        Without a filter, ``searchsorted(aug, (pos << shift) | (dest + 1))``
+        is the first neighbor ``>= dest`` (or the high sentinel, i.e. the
+        wrapped successor) and the entry before it is the predecessor (or
+        the low sentinel, the wrapped one) — the two candidates of the
+        scalar unfiltered step.  The predecessor wins only when strictly
+        closer than both the successor and the current node, mirroring the
+        scalar scan order.  With a ``live`` mask every neighbor is scanned,
+        as the scalar filtered step does.  Rows that make no strict
+        progress keep their own position.
         """
-        m = src.size
-        hops = np.zeros(m, dtype=np.int64)
-        terminal = src.copy()
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        caug = self._positions(src).astype(_U64) << self.shift
-        cur_dist = src ^ dest
-        d = dest
-        dq = dest + _ONE
-        act = np.ones(m, dtype=bool)
-        q = np.empty(m, dtype=_U64)
-        c1 = np.empty(m, dtype=_U64)
-        c2 = np.empty(m, dtype=_U64)
-        d1 = np.empty(m, dtype=_U64)
-        d2 = np.empty(m, dtype=_U64)
-        pm = np.empty(m, dtype=np.intp)
-        pick2 = np.empty(m, dtype=bool)
-        ok = np.empty(m, dtype=bool)
-        fin = np.empty(m, dtype=bool)
-        sel: Optional[np.ndarray] = None  # original index of each survivor
-        full_hops = None
-        for _ in range(MAX_HOPS + 1):
-            np.bitwise_or(caug, dq, out=q)
-            p1 = np.searchsorted(self.aug, q, side="left")
-            np.subtract(p1, 1, out=pm)
-            self.cand_ids.take(p1, out=c1)
-            self.cand_ids.take(pm, out=c2)
-            np.bitwise_xor(c1, d, out=d1)
-            np.bitwise_xor(c2, d, out=d2)
-            np.minimum(d1, cur_dist, out=q)
-            np.less(d2, q, out=pick2)
-            np.less(d1, cur_dist, out=ok)  # a route at its key has cur_dist 0
-            np.logical_or(ok, pick2, out=ok)
-            np.logical_not(ok, out=fin)
-            np.logical_and(fin, act, out=fin)  # newly finished this hop
-            if fin.any():
-                rows = np.flatnonzero(fin)
-                orig = rows if sel is None else sel[rows]
-                terminal[orig] = self.ids[
-                    (caug[rows] >> self.shift).astype(np.int64)
-                ]
-                np.logical_and(act, ok, out=act)
-            nact = np.count_nonzero(act)
-            if nact == 0:
-                break
-            # Step every still-active route in place; finished rows are
-            # masked out of the writes and idle as free no-steps.
-            np.copyto(d1, d2, where=pick2)
-            np.copyto(cur_dist, d1, where=act)
-            np.subtract(p1, pick2, out=p1)  # index of the chosen candidate
-            self.cand_aug.take(p1, out=q)
-            if lat is not None:
-                # ``caug`` still holds the pre-step positions, ``q`` the
-                # chosen candidates'; accumulate before the in-place step,
-                # in hop order, into the full-length accumulator.
-                rows = np.flatnonzero(act)
-                orig = rows if sel is None else sel[rows]
-                prevp = (caug[rows] >> self.shift).astype(np.int64)
-                newp = (q[rows] >> self.shift).astype(np.int64)
-                lat[orig] += lhop2 + lmat[lr[prevp], lr[newp]].astype(
-                    np.float64
-                )
-            np.copyto(caug, q, where=act)
-            np.add(hops, act, out=hops)
-            if path_lists is not None:
-                np.copyto(c1, c2, where=pick2)
-                step_ids = c1.tolist()
-                for ri in np.flatnonzero(act).tolist():
-                    oi = ri if sel is None else int(sel[ri])
-                    path_lists[oi].append(int(step_ids[ri]))
-            if nact * 2 < act.size:
-                # Tail compaction, folding local hop counts into the full
-                # array exactly as the ring loop does.
-                survivors = np.flatnonzero(act)
-                if sel is None:
-                    full_hops = hops
-                    sel = survivors
-                else:
-                    full_hops[sel] += hops
-                    sel = sel[survivors]
-                k = survivors.size
-                caug = caug[survivors]
-                cur_dist = cur_dist[survivors]
-                d = d[survivors]
-                dq = dq[survivors]
-                hops = np.zeros(k, dtype=np.int64)
-                act = np.ones(k, dtype=bool)
-                q, c1, c2, d1, d2 = q[:k], c1[:k], c2[:k], d1[:k], d2[:k]
-                pm, pick2, ok, fin = pm[:k], pick2[:k], ok[:k], fin[:k]
-        else:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        if sel is not None:
-            full_hops[sel] += hops
-            hops = full_hops
-        success = (terminal ^ dest) == _ZERO
-        stuck = np.flatnonzero(~success)
-        if stuck.size:
-            success[stuck] = self._xor_closest(terminal[stuck], dest[stuck], None)
-        return self._result(src, dest, hops, terminal, success, path_lists, lat)
+        k = cur.size
+        cur_dist = ws.get("cur_dist", k, _U64)
+        self.ids.take(cur, out=cur_dist)
+        np.bitwise_xor(cur_dist, dest, out=cur_dist)
+        if live is not None:
 
-    def _route_xor_alive(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        alive_arr: np.ndarray,
-        paths: bool,
-        lat_state=None,
-    ) -> BatchResult:
-        """Filtered XOR loop: per-hop segment scan over the frontier."""
-        m = src.size
-        cur = self._positions(src)
-        hops = np.zeros(m, dtype=np.int64)
-        success = np.zeros(m, dtype=bool)
-        terminal = cur.copy()
-        path_lists = [[int(s)] for s in src] if paths else None
-        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        active = np.arange(m, dtype=np.int64)
-        for _ in range(MAX_HOPS + 1):
-            if active.size == 0:
-                break
-            c = cur[active]
-            d = dest[active]
-            cur_dist = self.ids[c] ^ d
-            at_dest = cur_dist == _ZERO
-            if np.any(at_dest):
-                fin = active[at_dest]
-                success[fin] = True
-                terminal[fin] = cur[fin]
-                active = active[~at_dest]
-                c, d, cur_dist = c[~at_dest], d[~at_dest], cur_dist[~at_dest]
-            if active.size == 0:
-                break
-            nxt, has_step = self._xor_step_alive(c, d, cur_dist, alive_arr)
-            stuck = active[~has_step]
-            if stuck.size:
-                success[stuck] = self._xor_closest(
-                    self.ids[cur[stuck]], dest[stuck], alive_arr
-                )
-                terminal[stuck] = cur[stuck]
-            adv = active[has_step]
-            if adv.size:
-                new_pos = nxt[has_step]
-                if lat is not None:
-                    lat[adv] += lhop2 + lmat[
-                        lr[cur[adv]], lr[new_pos]
-                    ].astype(np.float64)
-                cur[adv] = new_pos
-                hops[adv] += 1
-                if path_lists is not None:
-                    for ri, nid in zip(adv.tolist(), self.ids[new_pos].tolist()):
-                        path_lists[ri].append(nid)
-            active = adv
-        if active.size:
-            raise RuntimeError(
-                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
-            )
-        return self._result(
-            src, dest, hops, self.ids[terminal], success, path_lists, lat
-        )
+            def score(cand, row):
+                dist = cand ^ dest[row]
+                return np.where(dist < cur_dist[row], dist, _FAR)
+
+            out[:] = self._scan(cur, live, score)
+            return out
+        q = ws.get("q", k, _U64)
+        d1 = ws.get("d1", k, _U64)
+        d2 = ws.get("d2", k, _U64)
+        pm = ws.get("pm", k, np.intp)
+        pick2 = ws.get("pick2", k, bool)
+        ok = ws.get("ok", k, bool)
+        q[:] = cur
+        np.left_shift(q, self.shift, out=q)
+        np.add(dest, _ONE, out=d1)
+        np.bitwise_or(q, d1, out=q)
+        p1 = np.searchsorted(self.aug, q, side="left")
+        np.subtract(p1, 1, out=pm)
+        self.cand_ids.take(p1, out=d1)
+        self.cand_ids.take(pm, out=d2)
+        np.bitwise_xor(d1, dest, out=d1)
+        np.bitwise_xor(d2, dest, out=d2)
+        np.minimum(d1, cur_dist, out=q)
+        np.less(d2, q, out=pick2)
+        np.less(d1, cur_dist, out=ok)  # a route at its key has cur_dist 0
+        np.logical_or(ok, pick2, out=ok)
+        np.subtract(p1, pick2, out=p1)  # index of the chosen candidate
+        self.cand_aug.take(p1, out=q)
+        np.right_shift(q, self.shift, out=q)
+        np.copyto(out, cur)
+        np.copyto(out, q, where=ok, casting="unsafe")
+        return out
+
+    # ------------------------------------------------------------ entry points
 
     def route(
         self,
@@ -960,32 +622,102 @@ class CompiledNetwork:
         paths: bool = False,
         latency: Optional["LatencyTable"] = None,
     ) -> BatchResult:
-        """Route with the engine matching the network's declared metric."""
-        if self.metric == "ring":
-            return self.route_ring(
-                sources, dest_keys, alive=alive, paths=paths, latency=latency
-            )
-        if self.metric == "xor":
-            return self.route_xor(
-                sources, dest_keys, alive=alive, paths=paths, latency=latency
-            )
-        raise ValueError(f"unknown metric {self.metric!r}")
-
-    # ------------------------------------------------- frontier stepping
-
-    def begin_frontier(
-        self, sources: Sequence[int], dest_keys: Sequence[int]
-    ) -> InFlightFrontier:
-        """Fresh in-flight state for ``(source, key)`` pairs (no hops yet)."""
+        """Batch greedy routing, identical to :func:`repro.core.routing.route`."""
         src, dest = _as_batch(sources, dest_keys)
+        return self._drive(
+            self.metric,
+            src,
+            dest,
+            self._alive_array(alive),
+            paths,
+            self._latency_state(latency),
+        )
+
+    def _drive(
+        self,
+        metric: str,
+        src: np.ndarray,
+        dest: np.ndarray,
+        alive_arr: Optional[np.ndarray],
+        paths: bool,
+        lat_state,
+    ) -> BatchResult:
+        """The one hop loop: step every route under ``metric`` until rest.
+
+        Steps the whole batch with the metric's step primitive until
+        nothing moves.  A stopped route idles as a free self-step, so
+        the frontier keeps its size, every per-hop op writes into a
+        preallocated buffer and hop counts are just ``hops += moved``.  Each
+        time under half of the routes still move, the survivors are
+        compacted (the straggler tail otherwise dominates: max hops runs
+        well past the mean).  Per-hop latency is added to the full-length
+        accumulator in hop order — a strict left fold, bit-identical to the
+        scalar per-hop sum.  Success is resolved once, after the loop.
+        """
+        step, pos_dt = self._stepper(metric)
+        live = None if alive_arr is None else _in_sorted(alive_arr, self.ids)
         m = src.size
-        return InFlightFrontier(
-            cur=src.copy(),
-            dest=dest,
-            hops=np.zeros(m, dtype=np.int64),
-            done=np.zeros(m, dtype=bool),
-            success=np.zeros(m, dtype=bool),
-            latency_ms=np.zeros(m, dtype=np.float64),
+        path_lists = [[int(s)] for s in src] if paths else None
+        lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
+        ws = _Workspace(m)
+        cur = self._positions(src).astype(pos_dt)
+        keys = dest
+        hops = np.zeros(m, dtype=np.int64)
+        nxt = np.empty_like(cur)
+        moved = np.empty(m, dtype=bool)
+        sel: Optional[np.ndarray] = None  # original index of each survivor
+        full_cur = full_hops = None
+        for _ in range(MAX_HOPS + 1):
+            step(cur, keys, live, ws, nxt)
+            np.not_equal(nxt, cur, out=moved)
+            cnt = np.count_nonzero(moved)
+            if not cnt:
+                break
+            np.add(hops, moved, out=hops)
+            cur, nxt = nxt, cur  # ``nxt`` now holds the previous positions
+            if lat is not None or path_lists is not None:
+                hrows = np.flatnonzero(moved)
+                orig = hrows if sel is None else sel[hrows]
+                if lat is not None:
+                    lat[orig] += _hop_ms(lat_state, nxt[hrows], cur[hrows])
+                if path_lists is not None:
+                    for oi, nid in zip(orig.tolist(), self.ids[cur[hrows]].tolist()):
+                        path_lists[oi].append(nid)
+            if cnt * 2 < cur.size:
+                # Tail compaction.  Fresh arrays for cur/nxt — the old
+                # ping-pong buffers still back ``full_cur``.
+                survivors = np.flatnonzero(moved)
+                if sel is None:
+                    full_cur, full_hops, sel = cur, hops, survivors
+                else:
+                    full_hops[sel] += hops
+                    full_cur[sel] = cur
+                    sel = sel[survivors]
+                cur, keys = cur[survivors], keys[survivors]
+                hops = np.zeros(cur.size, dtype=np.int64)
+                nxt = np.empty_like(cur)
+                moved = moved[: cur.size]
+        else:
+            raise RuntimeError(
+                f"routing exceeded {MAX_HOPS} hops: likely a broken network"
+            )
+        if sel is not None:
+            full_hops[sel] += hops
+            full_cur[sel] = cur
+            cur, hops = full_cur, full_hops
+        terminals = self.ids[cur]
+        registry = obs_metrics.active_registry()
+        if registry is not None:
+            registry.counter("perf.batch.routes").inc(m)
+            registry.counter("perf.batch.hops").inc(int(hops.sum()))
+        return BatchResult(
+            sources=src,
+            dest_keys=dest,
+            hops=hops,
+            terminals=terminals,
+            success=self._verdict(metric, terminals, dest, alive_arr),
+            paths=path_lists,
+            latency_ms=lat,
         )
 
     def frontier_step(
@@ -998,10 +730,12 @@ class CompiledNetwork:
         """Advance every lookup exactly one greedy hop (pure, resumable).
 
         The single-step entry point behind the serving runtime: one call
-        is one frontier tick.  Branch-for-branch it replicates one
-        iteration of the batch routing loops — same candidate selection,
-        same terminal resolution — so repeatedly stepping until nothing
-        moves yields outcomes identical to :meth:`route`.
+        is one frontier tick — one call of the step primitive :meth:`route`
+        drives, plus terminal resolution — so repeatedly stepping until
+        nothing moves yields outcomes identical to :meth:`route`.  State is
+        node *ids*, not compiled positions, so a caller may swap in a
+        recompiled view between steps.  ``alive_arr`` is a sorted uint64 id
+        array (held once per view epoch by the caller).
 
         Returns ``(next_ids, moved, success, hop_ms)`` aligned with the
         inputs.  Where ``moved`` is False the lookup terminated this step
@@ -1010,127 +744,49 @@ class CompiledNetwork:
         equals ``cur_ids`` there.  ``hop_ms`` is per-hop overlay latency
         (zero on unmoved rows) when ``lat_state`` is given, else ``None``.
         """
-        if self.metric == "ring":
-            remaining = (dest - cur_ids) & self.mask
-            at_dest = remaining == _ZERO
-            if alive_arr is None:
-                dist2d, posflat, ids_small = self._ring_matrix()
-                dt = dist2d.dtype.type
-                width = dist2d.shape[1]
-                c = self._positions(cur_ids)
-                rows = dist2d[c]
-                le = rows <= remaining.astype(dt)[:, None]
-                p = le.argmax(axis=1)
-                idx = c * np.intp(width) + p
-                nxtp = posflat[idx].astype(np.int64)
-                moved = nxtp != c
-            else:
-                c = self._positions(cur_ids)
-                nxt, ok = self._ring_step_alive(c, cur_ids, remaining, alive_arr)
-                nxtp = np.where(ok, nxt, c)
-                moved = ok
-            stuck = ~moved & ~at_dest
-            success = at_dest.copy()
-            if np.any(stuck):
-                success[stuck] = self._responsible(
-                    cur_ids[stuck], dest[stuck], alive_arr
-                )
-        elif self.metric == "xor":
-            cur_dist = cur_ids ^ dest
-            at_dest = cur_dist == _ZERO
-            c = self._positions(cur_ids)
-            if alive_arr is None:
-                caug = c.astype(_U64) << self.shift
-                p1 = np.searchsorted(self.aug, caug | (dest + _ONE), side="left")
-                c1 = self.cand_ids[p1]
-                c2 = self.cand_ids[p1 - 1]
-                d1 = c1 ^ dest
-                d2 = c2 ^ dest
-                pick2 = d2 < np.minimum(d1, cur_dist)
-                moved = (d1 < cur_dist) | pick2
-                chosen = np.subtract(p1, pick2)
-                nxtp = np.where(
-                    moved, (self.cand_aug[chosen] >> self.shift).astype(np.int64), c
-                )
-            else:
-                nxt, ok = self._xor_step_alive(c, dest, cur_dist, alive_arr)
-                nxtp = np.where(ok, nxt, c)
-                moved = ok
-            stuck = ~moved & ~at_dest
-            success = at_dest.copy()
-            if np.any(stuck):
-                success[stuck] = self._xor_closest(
-                    cur_ids[stuck], dest[stuck], alive_arr
-                )
-        else:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        next_ids = np.where(moved, self.ids[nxtp], cur_ids)
+        step, pos_dt = self._stepper(self.metric)
+        c = self._positions(cur_ids).astype(pos_dt)
+        live = None if alive_arr is None else _in_sorted(alive_arr, self.ids)
+        nxt = step(c, dest, live, _Workspace(c.size), np.empty_like(c))
+        moved = nxt != c
+        success = np.zeros(c.shape, dtype=bool)
+        fin = np.flatnonzero(~moved)
+        if fin.size:
+            success[fin] = self._verdict(
+                self.metric, cur_ids[fin], dest[fin], alive_arr
+            )
         hop_ms: Optional[np.ndarray] = None
         if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-            hop_ms = np.zeros(cur_ids.shape, dtype=np.float64)
+            hop_ms = np.zeros(c.shape, dtype=np.float64)
             mv = np.flatnonzero(moved)
-            if mv.size:
-                hop_ms[mv] = lhop2 + lmat[
-                    lr[c[mv]], lr[nxtp[mv]]
-                ].astype(np.float64)
-        return next_ids, moved, success, hop_ms
+            hop_ms[mv] = _hop_ms(lat_state, c[mv], nxt[mv])
+        return self.ids[nxt], moved, success, hop_ms
 
-    def step_frontier(
-        self,
-        state: InFlightFrontier,
-        alive: Optional[np.ndarray] = None,
-        latency: Optional["LatencyTable"] = None,
-    ) -> int:
-        """One hop for every not-done row of ``state``; returns moved count.
 
-        ``alive`` is a *sorted uint64 id array* (use :meth:`_alive_array`
-        or a live view) — the serving runtime holds one per view epoch, so
-        this entry point skips the per-call set conversion of
-        :meth:`route`.  Latency accumulates into ``state.latency_ms`` one
-        addition per hop, preserving the scalar left-fold contract.
-        """
-        act = np.flatnonzero(~state.done)
-        if act.size == 0:
-            return 0
-        lat_state = self._latency_state(latency)
-        next_ids, moved, success, hop_ms = self.frontier_step(
-            state.cur[act], state.dest[act], alive, lat_state
-        )
-        state.cur[act] = next_ids
-        mv = act[moved]
-        state.hops[mv] += 1
-        if hop_ms is not None and mv.size:
-            state.latency_ms[mv] += hop_ms[moved]
-        fin = act[~moved]
-        if fin.size:
-            state.done[fin] = True
-            state.success[fin] = success[~moved]
-        return int(mv.size)
+class _Workspace:
+    """Scratch buffers of the step primitives, reused hop after hop.
 
-    def _result(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        hops: np.ndarray,
-        terminal: np.ndarray,
-        success: np.ndarray,
-        path_lists: Optional[List[List[int]]],
-        latency_ms: Optional[np.ndarray] = None,
-    ) -> BatchResult:
-        registry = obs_metrics.active_registry()
-        if registry is not None:
-            registry.counter("perf.batch.routes").inc(int(src.size))
-            registry.counter("perf.batch.hops").inc(int(hops.sum()))
-        return BatchResult(
-            sources=src,
-            dest_keys=dest,
-            hops=hops,
-            terminals=terminal,
-            success=success,
-            paths=path_lists,
-            latency_ms=latency_ms,
-        )
+    A buffer is allocated at the batch size on first request and handed
+    out as its leading ``rows`` entries, so steps over a compacted
+    frontier reuse the same memory and no hop allocates its scratch.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._bufs: Dict[str, np.ndarray] = {}
+
+    def get(self, name: str, rows: int, dtype, width: int = 0) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None:
+            shape = (self.capacity, width) if width else (self.capacity,)
+            buf = self._bufs[name] = np.empty(shape, dtype=dtype)
+        return buf[:rows]
+
+
+def _hop_ms(lat_state, prev: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Overlay ms of the hops ``prev -> new`` (compiled positions)."""
+    routers, matrix, hop2_ms = lat_state
+    return hop2_ms + matrix[routers[prev], routers[new]].astype(np.float64)
 
 
 def _as_batch(sources: Sequence[int], dest_keys: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -1175,36 +831,6 @@ def compile_network(network: DHTNetwork, cached: bool = True) -> CompiledNetwork
     return compiled
 
 
-def batch_route_ring(
-    network: DHTNetwork,
-    pairs: Sequence[Tuple[int, int]],
-    alive: Optional[Set[int]] = None,
-    paths: bool = False,
-    latency: Optional["LatencyTable"] = None,
-) -> BatchResult:
-    """Batch :func:`~repro.core.routing.route_ring` over (src, key) pairs."""
-    srcs = [p[0] for p in pairs]
-    dests = [p[1] for p in pairs]
-    return compile_network(network).route_ring(
-        srcs, dests, alive=alive, paths=paths, latency=latency
-    )
-
-
-def batch_route_xor(
-    network: DHTNetwork,
-    pairs: Sequence[Tuple[int, int]],
-    alive: Optional[Set[int]] = None,
-    paths: bool = False,
-    latency: Optional["LatencyTable"] = None,
-) -> BatchResult:
-    """Batch :func:`~repro.core.routing.route_xor` over (src, key) pairs."""
-    srcs = [p[0] for p in pairs]
-    dests = [p[1] for p in pairs]
-    return compile_network(network).route_xor(
-        srcs, dests, alive=alive, paths=paths, latency=latency
-    )
-
-
 def batch_route(
     network: DHTNetwork,
     pairs: Sequence[Tuple[int, int]],
@@ -1212,7 +838,7 @@ def batch_route(
     paths: bool = False,
     latency: Optional["LatencyTable"] = None,
 ) -> BatchResult:
-    """Batch :func:`~repro.core.routing.route`: engine picked by metric."""
+    """Batch :func:`~repro.core.routing.route` over (src, key) pairs."""
     srcs = [p[0] for p in pairs]
     dests = [p[1] for p in pairs]
     return compile_network(network).route(

@@ -55,7 +55,13 @@ from ..core.routing import MAX_HOPS
 from ..obs import metrics as obs_metrics
 from ..storage.store import HierarchicalStore, Pointer, SearchResult, StoredItem
 from ..storage.replication import ReplicatedStore
-from .kernels import CompiledNetwork, _in_sorted, compile_network
+from .kernels import (
+    CompiledNetwork,
+    _hop_ms,
+    _in_sorted,
+    _Workspace,
+    compile_network,
+)
 
 _U64 = np.uint64
 
@@ -561,8 +567,11 @@ class CompiledStore:
         Every query walks the greedy ring path from its origin; at each hop
         the whole frontier probes stored items (visible at the current
         routing level on both the origin and current sides of the prefix
-        identity), then pointers, then takes one vectorized ring step.
-        Pointer fetch legs are routed as one batch call afterwards.
+        identity), then pointers, then takes one
+        :meth:`~repro.perf.kernels.CompiledNetwork._ring_step` — the step
+        primitive the routing kernels drive.  Pointer fetch legs are ring
+        routes on every family, as in the scalar store, driven as one batch
+        afterwards.
         """
         compiled = self.compiled
         space = self.store.space
@@ -588,15 +597,8 @@ class CompiledStore:
         values_out: List[List[object]] = [[] for _ in range(m)]
         lat_state = compiled._latency_state(latency)
         lat = np.zeros(m, dtype=np.float64) if lat_state is not None else None
-        if lat_state is not None:
-            lr, lmat, lhop2 = lat_state
-        dist2d, posflat, ids_small = compiled._ring_matrix()
-        dt = dist2d.dtype.type
-        width = dist2d.shape[1]
-        small_mask = (
-            None if int(compiled.mask) == np.iinfo(dt).max else dt(compiled.mask)
-        )
-        dest_small = key_hashes.astype(dt)
+        ring_step, pos_dt = compiled._stepper("ring")
+        ws = _Workspace(m)
         probes = 0
         active = np.arange(m, dtype=np.int64)
         for _ in range(MAX_HOPS):
@@ -637,13 +639,10 @@ class CompiledStore:
                 if active.size == 0:
                     break
             # One greedy ring step for the remaining frontier.
-            current_ids = ids_small[frontier]
-            remaining = dest_small[active] - current_ids
-            if small_mask is not None:
-                remaining &= small_mask
-            candidates = dist2d[frontier]
-            first = (candidates <= remaining[:, None]).argmax(axis=1)
-            nxt = posflat[frontier * width + first].astype(np.int64)
+            nxt = ring_step(
+                frontier, key_hashes[active], None, ws,
+                np.empty(frontier.size, dtype=pos_dt),
+            )
             moved = nxt != frontier
             stuck = active[~moved]
             if stuck.size:
@@ -652,9 +651,7 @@ class CompiledStore:
             if advanced.size:
                 new_pos = nxt[moved]
                 if lat is not None:
-                    lat[advanced] += lhop2 + lmat[
-                        lr[cur[advanced]], lr[new_pos]
-                    ].astype(np.float64)
+                    lat[advanced] += _hop_ms(lat_state, cur[advanced], new_pos)
                 cur[advanced] = new_pos
                 for row, node in zip(
                     advanced.tolist(), compiled.ids[new_pos].tolist()
@@ -669,7 +666,9 @@ class CompiledStore:
         if resolved_rows.size:
             fetch_src = compiled.ids[found_at_pos[resolved_rows]]
             fetch_dst = compiled.ids[content_pos[resolved_rows]]
-            fetch = compiled.route_ring(fetch_src, fetch_dst, latency=latency)
+            fetch = compiled._drive(
+                "ring", fetch_src, fetch_dst, None, False, lat_state
+            )
             pointer_hops[resolved_rows] = 2 * fetch.hops
             if lat is not None:
                 lat[resolved_rows] = lat[resolved_rows] + 2.0 * fetch.latency_ms

@@ -106,7 +106,8 @@ def compile_protocol_view(
     net still remembers.  Dead and suspended nodes keep an id row (so
     in-flight lookups parked on them resolve as lost, not as key errors)
     but no contacts.  Recompile after churn and keep stepping the same
-    :class:`~repro.perf.kernels.InFlightFrontier` — its state is id-based.
+    lookups with :meth:`~repro.perf.kernels.CompiledNetwork.frontier_step`
+    — its state is node ids, not compiled positions.
     """
     ids = np.asarray(sorted(net.nodes), dtype=np.uint64)
     known = net.nodes

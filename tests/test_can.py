@@ -103,6 +103,19 @@ class TestPrefixTree:
         t_largest.grow(200, random.Random(5), policy="largest")
         assert t_largest.partition_ratio() <= t_random.partition_ratio()
 
+    @pytest.mark.parametrize("seed", [356, 842])
+    def test_random_growth_redraws_full_length_leaves(self, seed):
+        """A draw landing in a full-length leaf is re-drawn, not fatal."""
+        leaves = PrefixTree(6).grow(12, random.Random(seed))
+        assert len(leaves) == 12
+        assert all(leaf.length <= 6 for leaf in leaves)
+
+    def test_random_growth_fails_only_when_the_tree_is_full(self):
+        tree = PrefixTree(3)
+        assert len(tree.grow(8, random.Random(0))) == 8
+        with pytest.raises(RuntimeError):
+            tree.grow(9, random.Random(0))
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             PrefixTree(8).grow(4, random.Random(0), policy="zigzag")

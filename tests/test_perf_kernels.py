@@ -4,7 +4,9 @@ The batch kernels of :mod:`repro.perf.kernels` claim to replicate every
 branch of the scalar greedy engines exactly.  These property tests verify
 it route-by-route — full path, success flag, terminal and hop count — for
 all five flat and all five Canonical DHT families, over multiple seeds,
-node-id *and* arbitrary-key destinations, with and without alive filters.
+node-id *and* arbitrary-key destinations, with and without alive filters,
+through both entry points: one ``route()`` call and ``frontier_step``
+stepped until nothing moves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IdSpace, build_uniform_hierarchy
-from repro.core.routing import LiveSet, route_ring, route_xor
+from repro.core.routing import MAX_HOPS, LiveSet, route_ring, route_xor
 from repro.dhts.cacophony import CacophonyNetwork
 from repro.dhts.can import build_can
 from repro.dhts.cancan import build_cancan
@@ -27,11 +29,7 @@ from repro.dhts.kademlia import KademliaNetwork
 from repro.dhts.kandy import KandyNetwork
 from repro.dhts.ndchord import NDChordNetwork, NDCrescendoNetwork
 from repro.dhts.symphony import SymphonyNetwork
-from repro.perf.kernels import (
-    batch_route,
-    batch_route_ring,
-    compile_network,
-)
+from repro.perf.kernels import BatchResult, batch_route, compile_network
 
 SIZE = 220
 BITS = 16
@@ -85,9 +83,43 @@ def scalar_router(network):
     return route_ring if network.metric == "ring" else route_xor
 
 
-def assert_identical(network, pairs, alive=None):
+def route_entry(network, pairs, alive=None):
+    """The batch hop loop: one ``route()`` call."""
+    return batch_route(network, pairs, alive=alive, paths=True)
+
+
+def step_entry(network, pairs, alive=None):
+    """``frontier_step`` stepped until nothing moves, as a BatchResult."""
+    compiled = compile_network(network)
+    alive_arr = None if alive is None else np.asarray(sorted(alive), dtype=np.uint64)
+    src = np.asarray([p[0] for p in pairs], dtype=np.uint64)
+    dest = np.asarray([p[1] for p in pairs], dtype=np.uint64)
+    cur = src.copy()
+    hops = np.zeros(src.size, dtype=np.int64)
+    success = np.zeros(src.size, dtype=bool)
+    paths = [[int(s)] for s in src]
+    act = np.arange(src.size)
+    for _ in range(MAX_HOPS + 1):
+        if act.size == 0:
+            break
+        nxt, moved, ok, _ = compiled.frontier_step(cur[act], dest[act], alive_arr)
+        cur[act] = nxt
+        hops[act[moved]] += 1
+        for i, node in zip(act[moved].tolist(), nxt[moved].tolist()):
+            paths[i].append(node)
+        success[act[~moved]] = ok[~moved]
+        act = act[moved]
+    else:
+        pytest.fail("frontier stepping never came to rest")
+    return BatchResult(src, dest, hops, cur, success, paths)
+
+
+ENTRIES = (route_entry, step_entry)
+
+
+def assert_identical(network, pairs, alive=None, entry=route_entry):
     router = scalar_router(network)
-    result = batch_route(network, pairs, alive=alive, paths=True)
+    result = entry(network, pairs, alive=alive)
     for i, (src, dst) in enumerate(pairs):
         expected = router(network, src, dst, alive=alive)
         assert result.paths[i] == expected.path, (i, src, dst)
@@ -99,35 +131,46 @@ def assert_identical(network, pairs, alive=None):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", [0, 1])
 class TestPathIdentity:
+    """Every family through ``route()``; the subclass below steps instead."""
+
+    entry = staticmethod(route_entry)
+
     def test_all_routes_identical(self, family, seed):
         network, rng = build_family(family, seed)
-        assert_identical(network, workload(network, rng))
+        assert_identical(network, workload(network, rng), entry=self.entry)
 
     def test_identical_under_alive_filter(self, family, seed):
         network, rng = build_family(family, seed)
         pairs = workload(network, rng, count=80)
         survivors = LiveSet(rng.sample(network.node_ids, (3 * SIZE) // 4))
-        assert_identical(network, pairs, alive=survivors)
+        assert_identical(network, pairs, alive=survivors, entry=self.entry)
 
     def test_identical_under_plain_set_filter(self, family, seed):
         network, rng = build_family(family, seed)
         pairs = workload(network, rng, count=40)
         survivors = set(rng.sample(network.node_ids, SIZE // 2))
-        assert_identical(network, pairs, alive=survivors)
+        assert_identical(network, pairs, alive=survivors, entry=self.entry)
+
+
+class TestSteppedPathIdentity(TestPathIdentity):
+    """The same families and filters through ``frontier_step``."""
+
+    entry = staticmethod(step_entry)
 
 
 class TestAliveEdgeCases:
     def test_empty_alive_set_never_delivers(self):
         network, rng = build_family("crescendo", 0)
         pairs = workload(network, rng, count=20)
-        assert_identical(network, pairs, alive=LiveSet())
+        for entry in ENTRIES:
+            assert_identical(network, pairs, alive=LiveSet(), entry=entry)
 
     def test_sparse_alive_set(self):
         network, rng = build_family("chord", 0)
         pairs = workload(network, rng, count=40)
-        assert_identical(
-            network, pairs, alive=LiveSet(rng.sample(network.node_ids, 5))
-        )
+        alive = LiveSet(rng.sample(network.node_ids, 5))
+        for entry in ENTRIES:
+            assert_identical(network, pairs, alive=alive, entry=entry)
 
 
 class TestCompiledLayout:
@@ -155,7 +198,7 @@ class TestCompiledLayout:
             i for i in range(network.space.size) if i not in network._id_set
         )
         with pytest.raises(KeyError):
-            compiled.route_ring([missing], [network.node_ids[0]])
+            compiled.route([missing], [network.node_ids[0]])
 
     def test_too_wide_id_space_rejected(self):
         rng = random.Random(0)
@@ -170,26 +213,26 @@ class TestCompiledLayout:
         network, _ = build_family("chord", 0)
         compiled = compile_network(network)
         with pytest.raises(ValueError):
-            compiled.route_ring(network.node_ids[:3], network.node_ids[:2])
+            compiled.route(network.node_ids[:3], network.node_ids[:2])
 
 
 class TestBatchResult:
     def test_routes_requires_paths(self):
         network, rng = build_family("crescendo", 0)
-        result = batch_route_ring(network, workload(network, rng, count=10))
+        result = batch_route(network, workload(network, rng, count=10))
         with pytest.raises(ValueError):
             next(result.routes())
 
     def test_delivered_counts_key_hits(self):
         network, rng = build_family("crescendo", 0)
         pairs = [tuple(rng.sample(network.node_ids, 2)) for _ in range(50)]
-        result = batch_route_ring(network, pairs)
+        result = batch_route(network, pairs)
         assert result.delivered == 50  # node-id lookups always deliver
         assert result.size == 50
 
     def test_empty_batch(self):
         network, _ = build_family("chord", 0)
-        result = batch_route_ring(network, [])
+        result = batch_route(network, [])
         assert result.size == 0 and result.delivered == 0
 
 
@@ -206,4 +249,5 @@ def test_property_random_pairs_identical(seed, data):
             max_size=25,
         )
     )
-    assert_identical(network, pairs)
+    for entry in ENTRIES:
+        assert_identical(network, pairs, entry=entry)

@@ -139,6 +139,26 @@ class TestXorRouting:
             got = space.xor_distance(r.terminal, key)
             assert got.bit_length() <= best.bit_length() + 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: the unfiltered XOR step and _is_xor_closest take "
+            "the XOR-nearest element to sit next to the key's insertion "
+            "point, which is false (neighbors {8, 15, 16}, key 7: the "
+            "bracketing pair gives 8, the nearest is 15)"
+        ),
+    )
+    def test_filter_of_every_node_changes_nothing(self, kad):
+        """An alive filter that keeps every node must not change a route."""
+        rng = random.Random(16)
+        everyone = set(kad.node_ids)
+        for _ in range(300):
+            src = rng.choice(kad.node_ids)
+            key = kad.space.random_id(rng)
+            plain = route_xor(kad, src, key)
+            filtered = route_xor(kad, src, key, alive=everyone)
+            assert (plain.path, plain.success) == (filtered.path, filtered.success)
+
     def test_iterative_lookup_finds_global_closest(self, kad):
         """Kademlia's FIND_NODE shortlist lookup is exact for keys."""
         from repro.dhts.kademlia import find_closest

@@ -69,15 +69,29 @@ class TestFrontierStepping:
         expected = compiled.route(
             sources, keys, alive=set(alive.tolist()), latency=latency
         )
-        state = compiled.begin_frontier(sources, keys)
+        lat_state = compiled._latency_state(latency)
+        cur = np.asarray(sources, dtype=np.uint64)
+        dest = np.asarray(keys, dtype=np.uint64)
+        hops = np.zeros(cur.size, dtype=np.int64)
+        success = np.zeros(cur.size, dtype=bool)
+        latency_ms = np.zeros(cur.size, dtype=np.float64)
+        act = np.arange(cur.size)
         for _ in range(10_000):
-            if compiled.step_frontier(state, alive, latency=latency) == 0:
+            if act.size == 0:
                 break
-        assert np.all(state.done)
-        assert np.array_equal(state.hops, expected.hops)
-        assert np.array_equal(state.cur, expected.terminals)
-        assert np.array_equal(state.success, expected.success)
-        assert np.allclose(state.latency_ms, expected.latency_ms)
+            nxt, moved, ok, hop_ms = compiled.frontier_step(
+                cur[act], dest[act], alive, lat_state
+            )
+            cur[act] = nxt
+            hops[act[moved]] += 1
+            latency_ms[act[moved]] += hop_ms[moved]
+            success[act[~moved]] = ok[~moved]
+            act = act[moved]
+        assert act.size == 0
+        assert np.array_equal(hops, expected.hops)
+        assert np.array_equal(cur, expected.terminals)
+        assert np.array_equal(success, expected.success)
+        assert np.array_equal(latency_ms, expected.latency_ms)
 
 
 class TestRuntimeBasics:
