@@ -23,8 +23,8 @@ By default only the latency baseline is re-recorded (it finishes in
 seconds); ``--baseline churn`` etc. opt into the slower ones.  Output is a
 markdown table on stdout, also appended to ``$GITHUB_STEP_SUMMARY`` when
 set (the CI job-summary annotation).  Exit status is 0 unless ``--strict``
-is given *and* a deterministic metric regressed — the CI step stays
-non-gating while the signal lands in the job summary.
+is given *and* a deterministic metric regressed; CI's ``benchmark-gate``
+job runs the latency, storage and serving checks with ``--strict``.
 
 Run from the repo root::
 

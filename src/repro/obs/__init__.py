@@ -12,13 +12,12 @@ zero-dependency observability layer:
   and fixed-bucket histograms with snapshot/diff/merge and CSV/JSON export.
   Histograms carry a bounded reservoir of raw observations so snapshots
   answer p50/p95/p99 in milliseconds, not bucket bounds.
-- :mod:`repro.obs.quantiles` — the streaming quantile estimators behind
-  that (deterministic reservoir sampling and the P² marker algorithm).
+- :mod:`repro.obs.quantiles` — the deterministic reservoir sampling and
+  quantile helpers behind that.
 - :mod:`repro.obs.slo` — ``SLOReport``: family x level -> {p50/p95/p99
   lookup ms, stretch vs direct, availability} tables parsed back out of a
   snapshot; ``python -m repro.obs report`` is the CLI.
-- :mod:`repro.obs.profile` — phase timers (build vs route vs analysis) and
-  an opt-in sampling profiler.
+- :mod:`repro.obs.profile` — phase timers (build vs route vs analysis).
 
 Instrumentation is pay-for-what-you-use: with no tracer or registry
 activated, the hot routing loop performs no per-hop work — a single
@@ -34,8 +33,8 @@ from .metrics import (
     active_registry,
     collecting,
 )
-from .profile import PROFILER, PhaseProfiler, SamplingProfiler
-from .quantiles import P2Quantile, ReservoirSample, bucket_quantile, percentile
+from .profile import PROFILER, PhaseProfiler
+from .quantiles import ReservoirSample, bucket_quantile, percentile
 from .slo import SLOReport, SLORow
 from .trace import (
     HopAnnotation,
@@ -53,13 +52,11 @@ __all__ = [
     "HopAnnotation",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "P2Quantile",
     "PROFILER",
     "PhaseProfiler",
     "ReservoirSample",
     "SLOReport",
     "SLORow",
-    "SamplingProfiler",
     "Tracer",
     "active_registry",
     "active_tracer",

@@ -1,4 +1,4 @@
-"""Phase timers and an opt-in sampling profiler.
+"""Phase timers: where a run's wall-clock time went.
 
 The experiment harness wants one cheap question answered per figure run:
 where did the time go — building networks, routing queries, or analysing
@@ -8,22 +8,13 @@ the overhead is unmeasurable).  The module-level :data:`PROFILER` is the
 default instance the library instruments into
 :mod:`repro.experiments.common` and :mod:`repro.analysis.metrics`; the CLI
 ``--profile`` flag reports it after each run.
-
-For *why is this phase slow*, :class:`SamplingProfiler` is an opt-in
-statistical profiler: a daemon thread samples every thread's current stack
-at a fixed interval and counts frames — no dependencies, no
-instrumentation of the profiled code, a few percent overhead at the
-default 5 ms interval.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
-from collections import Counter as _Counter
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator
 
 
 class PhaseProfiler:
@@ -75,79 +66,3 @@ class PhaseProfiler:
 
 #: Default profiler instrumented into the experiment scaffolding.
 PROFILER = PhaseProfiler()
-
-
-class SamplingProfiler:
-    """Statistical profiler: periodically samples all thread stacks.
-
-    Usage::
-
-        with SamplingProfiler(interval=0.005) as prof:
-            run_expensive_thing()
-        print(prof.report(15))
-
-    Samples are attributed to every frame on the stack (inclusive time),
-    keyed by ``function (file:line)``.  The profiled code needs no changes
-    and pays nothing beyond the GIL time of the sampler thread.
-    """
-
-    def __init__(self, interval: float = 0.005) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        self.interval = interval
-        self.samples: _Counter = _Counter()
-        self.total_samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _sample_loop(self) -> None:
-        own = threading.get_ident()
-        while not self._stop.wait(self.interval):
-            for ident, frame in sys._current_frames().items():
-                if ident == own:
-                    continue
-                self.total_samples += 1
-                while frame is not None:
-                    code = frame.f_code
-                    key = f"{code.co_name} ({code.co_filename}:{code.co_firstlineno})"
-                    self.samples[key] += 1
-                    frame = frame.f_back
-
-    def start(self) -> "SamplingProfiler":
-        """Begin sampling on a daemon thread; returns ``self``."""
-        if self._thread is not None:
-            raise RuntimeError("profiler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="repro-obs-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop the sampler thread (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-
-    def __enter__(self) -> "SamplingProfiler":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-    def top(self, n: int = 10) -> List[Tuple[str, int]]:
-        """The ``n`` most-sampled frames as ``(location, samples)`` pairs."""
-        return self.samples.most_common(n)
-
-    def report(self, n: int = 10) -> str:
-        """Human-readable top-``n`` frames with inclusive sample shares."""
-        if not self.total_samples:
-            return "no samples collected"
-        lines = [f"{self.total_samples} samples @ {self.interval * 1000:.1f} ms"]
-        for key, count in self.top(n):
-            share = 100.0 * count / self.total_samples
-            lines.append(f"{share:5.1f}%  {key}")
-        return "\n".join(lines)

@@ -1,6 +1,6 @@
 """Streaming quantile estimation for the SLO layer.
 
-Two estimators plus two pure helpers:
+One estimator plus two pure helpers:
 
 - :func:`percentile` — exact linear-interpolation quantile of a sorted
   sample (numpy's default ``percentile`` method, without requiring numpy).
@@ -11,10 +11,6 @@ Two estimators plus two pure helpers:
   reservoir; an unbiased uniform subsample beyond that.  This is what
   :class:`repro.obs.metrics.Histogram` carries so snapshots can answer
   p50/p95/p99 in milliseconds rather than bucket bounds.
-- :class:`P2Quantile` — the Jain & Chlamtac P² marker estimator: O(1)
-  memory per tracked quantile, no sample retention.  Used where even a
-  bounded reservoir is too much state (and property-tested against numpy
-  percentiles in ``tests/test_obs_slo.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from typing import List, Optional, Sequence
 
 __all__ = [
     "DEFAULT_RESERVOIR_CAP",
-    "P2Quantile",
     "ReservoirSample",
     "bucket_quantile",
     "percentile",
@@ -146,73 +141,3 @@ class ReservoirSample:
     def quantile(self, q: float) -> float:
         """Quantile of the retained sample (exact while ``exact``)."""
         return percentile(sorted(self.values), q)
-
-
-class P2Quantile:
-    """Jain & Chlamtac's P² single-quantile estimator (O(1) memory).
-
-    Five markers track the running quantile without retaining the stream;
-    heights are adjusted with the piecewise-parabolic (P²) formula.  Exact
-    for the first five observations, a close estimate afterwards.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"P2 quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        """Feed one observation to the estimator."""
-        value = float(value)
-        self.count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        h = self._heights
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            n_i, n_lo, n_hi = self._positions[i], self._positions[i - 1], self._positions[i + 1]
-            if (d >= 1.0 and n_hi - n_i > 1.0) or (d <= -1.0 and n_lo - n_i < -1.0):
-                sign = 1.0 if d >= 1.0 else -1.0
-                candidate = h[i] + (sign / (n_hi - n_lo)) * (
-                    (n_i - n_lo + sign) * (h[i + 1] - h[i]) / (n_hi - n_i)
-                    + (n_hi - n_i - sign) * (h[i] - h[i - 1]) / (n_i - n_lo)
-                )
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabolic step overshot: fall back to linear
-                    h[i] += sign * (h[i + int(sign)] - h[i]) / (
-                        self._positions[i + int(sign)] - n_i
-                    )
-                self._positions[i] += sign
-
-    @property
-    def value(self) -> float:
-        """The current quantile estimate (0.0 before any observation)."""
-        if not self._heights:
-            return 0.0
-        if self.count <= 5:
-            return percentile(sorted(self._heights), self.q)
-        return self._heights[2]

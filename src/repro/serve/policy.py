@@ -59,10 +59,6 @@ class ServePolicy:
     #: Token-bucket capacity (burst) per top-level domain.
     admit_burst: float = 64.0
 
-    def backoff_ms(self, attempt: int) -> float:
-        """Exponential backoff before the given (second or later) attempt."""
-        return self.retry_backoff_ms * (2.0 ** max(attempt - 2, 0))
-
 
 #: The identity policy: no deadlines, retries, hedging or admission.
 NO_POLICY = ServePolicy()

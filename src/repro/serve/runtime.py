@@ -13,8 +13,9 @@ of in-flight lookups over one compiled network view.  Every
    losses, per-attempt hop caps, terminal outcomes with bounded
    exponential-backoff retries against alternate contacts, end-to-end
    deadline expiry, and hedge launches for the slowest p-quantile;
-4. the tick's completions are emitted as one batch through the middleware
-   chain and the ``serve.*`` metrics.
+4. each completing pass gathers its slots' columns (hedge twins resolve
+   as masks), and the tick's completions are emitted as one batch
+   through the middleware chain and the ``serve.*`` metrics.
 
 Outcome contract: on a static view, every lookup that completes with a
 routing outcome (OK or FAIL) has the success/terminal verdict of the
@@ -33,7 +34,7 @@ message losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,12 +69,12 @@ STATUS_DEADLINE = 4  # end-to-end deadline expired
 STATUS_SHED = 5  # admission control: no token for the source's domain
 STATUS_DENIED = 6  # vetoed by a before-submit middleware (ACL)
 
-_STATUS_NAMES = {
-    STATUS_OK: "ok",
-    STATUS_FAIL: "fail",
+#: The ``counters`` key each unsuccessful status is tallied under.
+_COUNTER_OF = {
+    STATUS_FAIL: "failed",
     STATUS_LOST: "lost",
     STATUS_HOPCAP: "hop_limit",
-    STATUS_DEADLINE: "deadline",
+    STATUS_DEADLINE: "expired",
     STATUS_SHED: "shed",
     STATUS_DENIED: "denied",
 }
@@ -83,32 +84,10 @@ SERVED_STATUSES = (STATUS_OK, STATUS_FAIL)
 
 
 @dataclass
-class ServeReport:
+class ServeReport(CompletionBatch):
     """Everything a finished serving run produced, in completion order."""
 
     counters: Dict[str, int]
-    tickets: np.ndarray
-    sources: np.ndarray
-    keys: np.ndarray
-    terminals: np.ndarray
-    hops: np.ndarray
-    latency_ms: np.ndarray
-    attempts: np.ndarray
-    success: np.ndarray
-    status: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return int(self.tickets.size)
-
-    @property
-    def delivered(self) -> np.ndarray:
-        return self.success.copy()
-
-    @property
-    def served(self) -> np.ndarray:
-        """Lookups that got a routing outcome (not shed/denied/expired)."""
-        return np.isin(self.status, SERVED_STATUSES)
 
     def quantile_ms(self, q: float) -> float:
         """Latency quantile over delivered lookups (NaN when none)."""
@@ -175,13 +154,7 @@ class ServeRuntime:
                 "ticks",
             )
         }
-        self._done: Dict[str, List[np.ndarray]] = {
-            key: []
-            for key in (
-                "tickets", "sources", "keys", "terminals", "hops",
-                "latency_ms", "attempts", "success", "status",
-            )
-        }
+        self._done: List[CompletionBatch] = []
 
     # ------------------------------------------------------------- views
 
@@ -242,12 +215,10 @@ class ServeRuntime:
             mask = mw.before_submit(batch)
             if mask is not None:
                 deny |= mask
-        stage = _CompletionStage()
+        stage: List[CompletionBatch] = []
         denied_idx = np.flatnonzero(deny)
         if denied_idx.size:
-            self.counters["denied"] += int(denied_idx.size)
-            self._inc_obs("serve.denied", int(denied_idx.size))
-            stage.add_immediate(tickets, src, dst, denied_idx, STATUS_DENIED)
+            stage.append(self._refuse(denied_idx, STATUS_DENIED, tickets, src, dst))
         passed = np.flatnonzero(~deny)
         if self.buckets is not None and passed.size:
             codes = np.asarray(
@@ -257,30 +228,35 @@ class ServeRuntime:
             admitted = self.buckets.admit(codes)
             shed_idx = passed[~admitted]
             if shed_idx.size:
-                self.counters["shed"] += int(shed_idx.size)
-                self._inc_obs("serve.shed", int(shed_idx.size))
-                stage.add_immediate(tickets, src, dst, shed_idx, STATUS_SHED)
+                stage.append(self._refuse(shed_idx, STATUS_SHED, tickets, src, dst))
             passed = passed[admitted]
         if passed.size:
             self.counters["admitted"] += int(passed.size)
-            slots = self.batcher.alloc(int(passed.size))
-            b = self.batcher
-            b.ticket[slots] = tickets[passed]
-            b.src[slots] = src[passed]
-            b.cur[slots] = src[passed]
-            b.dest[slots] = dst[passed]
-            b.hops[slots] = 0
-            b.elapsed_ms[slots] = 0.0
-            b.deadline_ms[slots] = (
-                self.policy.deadline_ms if deadline_ms is None else deadline_ms
+            self._start(
+                tickets[passed], src[passed], dst[passed], 0.0,
+                self.policy.deadline_ms if deadline_ms is None else deadline_ms,
+                -1,
             )
-            b.attempt[slots] = 1
-            b.wait[slots] = 0
-            b.twin[slots] = -1
-            b.is_hedge[slots] = False
-            b.state[slots] = RUNNING
         self._emit(stage)
         return tickets
+
+    def _refuse(
+        self,
+        idx: np.ndarray,
+        status: int,
+        tickets: np.ndarray,
+        src: np.ndarray,
+        dst: np.ndarray,
+    ) -> CompletionBatch:
+        """Submit-time completions: the lookups never enter the frontier."""
+        key = _COUNTER_OF[status]
+        self.counters[key] += int(idx.size)
+        self._inc_obs(f"serve.{key}", int(idx.size))
+        none = np.zeros(idx.size, dtype=np.int64)
+        return _completions(
+            status, False, tickets[idx], src[idx], dst[idx], src[idx],
+            none, none.astype(np.float64), none.astype(np.int32),
+        )
 
     # -------------------------------------------------------------- tick
 
@@ -297,7 +273,7 @@ class ServeRuntime:
             b.wait[waiting] -= 1
             ready = waiting[b.wait[waiting] <= 0]
             b.state[ready] = RUNNING
-        stage = _CompletionStage()
+        stage: List[CompletionBatch] = []
         act = b.slots_in(RUNNING)
         moved_count = 0
         if act.size:
@@ -332,26 +308,14 @@ class ServeRuntime:
                     bad = fin[~verdict]
                     if bad.size:
                         self._fail_or_retry(stage, bad, STATUS_FAIL)
-        if np.isfinite(policy.deadline_ms) or self._has_finite_deadlines():
-            open_slots = np.flatnonzero(b.state != FREE)
-            expired = open_slots[
-                b.elapsed_ms[open_slots] > b.deadline_ms[open_slots]
-            ]
-            if expired.size:
-                self.counters["expired"] += self._stage_complete(
-                    stage, expired, STATUS_DEADLINE, False
-                )
+        # Unbounded (infinite) deadlines never expire.
+        open_slots = np.flatnonzero(b.state != FREE)
+        expired = open_slots[b.elapsed_ms[open_slots] > b.deadline_ms[open_slots]]
+        if expired.size:
+            self._stage_complete(stage, expired, STATUS_DEADLINE, False)
         self._maybe_hedge()
         self._emit(stage)
         return moved_count
-
-    def _has_finite_deadlines(self) -> bool:
-        # Per-submit deadlines may be finite under an infinite policy
-        # default; cheap scan only when any slot is occupied.
-        b = self.batcher
-        return bool(
-            np.any(np.isfinite(b.deadline_ms[b.state != FREE]))
-        )
 
     def drain(self, max_ticks: int = 1_000_000) -> None:
         """Tick until every admitted lookup has completed."""
@@ -364,32 +328,18 @@ class ServeRuntime:
 
     def report(self) -> ServeReport:
         """Snapshot of all completions so far (completion order)."""
-        def cat(key: str, dtype) -> np.ndarray:
-            parts = self._done[key]
-            return (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-            )
-
-        return ServeReport(
-            counters=dict(self.counters),
-            tickets=cat("tickets", np.int64),
-            sources=cat("sources", np.uint64),
-            keys=cat("keys", np.uint64),
-            terminals=cat("terminals", np.uint64),
-            hops=cat("hops", np.int64),
-            latency_ms=cat("latency_ms", np.float64),
-            attempts=cat("attempts", np.int32),
-            success=cat("success", bool),
-            status=cat("status", np.int16),
-        )
+        parts = self._done or [self._gather(np.zeros(0, np.int64), STATUS_OK, False)]
+        return ServeReport(counters=dict(self.counters), **_concat(parts))
 
     # ------------------------------------------------------------ policy
 
     def _fail_or_retry(
-        self, stage: "_CompletionStage", slots: np.ndarray, status: int
+        self, stage: List[CompletionBatch], slots: np.ndarray, status: int
     ) -> None:
         b = self.batcher
         policy = self.policy
+        # A runner whose twin won earlier in this tick is already released.
+        slots = slots[b.state[slots] != FREE]
         retryable = (b.attempt[slots] < policy.max_attempts) & ~b.is_hedge[slots]
         retry = slots[retryable]
         done = slots[~retryable]
@@ -414,26 +364,35 @@ class ServeRuntime:
             # doom the ticket: drop it silently and let the twin race on.
             done = self._drop_if_twin_alive(done)
         if done.size:
-            count = self._stage_complete(stage, done, status, False)
-            key = {
-                STATUS_LOST: "lost",
-                STATUS_HOPCAP: "hop_limit",
-                STATUS_FAIL: "failed",
-            }[status]
-            self.counters[key] += count
+            self._stage_complete(stage, done, status, False)
 
     def _drop_if_twin_alive(self, slots: np.ndarray) -> np.ndarray:
+        """Drop failing runners whose twin races on; returns the rest.
+
+        When both runners of a pair fail together, the earlier one in
+        ``slots`` is dropped and the later completes with no twin.
+        """
         b = self.batcher
-        keep: List[int] = []
-        for s in slots.tolist():
-            t = int(b.twin[s])
-            if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
-                self.counters["hedge_cancelled"] += 1
-                b.twin[t] = -1
-                b.release(np.asarray([s], dtype=np.int64))
-            else:
-                keep.append(s)
-        return np.asarray(keep, dtype=np.int64)
+        twin = b.twin[slots]
+        live = self._live_twin(slots)
+        # Position of each slot in ``slots`` (-1 elsewhere): a runner is
+        # dropped unless its twin also fails here, earlier in ``slots``.
+        at = np.full(b.capacity, -1, dtype=np.int64)
+        at[slots] = np.arange(slots.size)
+        twin_at = at[np.maximum(twin, 0)]
+        drop = live & ((twin_at < 0) | (twin_at > at[slots]))
+        if np.any(drop):
+            self.counters["hedge_cancelled"] += int(np.count_nonzero(drop))
+            b.twin[twin[drop]] = -1
+            b.release(slots[drop])
+        return slots[~drop]
+
+    def _live_twin(self, slots: np.ndarray) -> np.ndarray:
+        """Mask: the slot's twin is still in flight on the same ticket."""
+        b = self.batcher
+        twin = b.twin[slots]
+        t = np.maximum(twin, 0)
+        return (twin >= 0) & (b.state[t] != FREE) & (b.ticket[t] == b.ticket[slots])
 
     def _alternate_contacts(
         self, srcs: np.ndarray, attempts: np.ndarray
@@ -480,51 +439,79 @@ class ServeRuntime:
         n = int(eligible.size)
         self.counters["hedges"] += n
         self._inc_obs("serve.hedges", n)
-        slots = b.alloc(n)
-        b.ticket[slots] = b.ticket[eligible]
-        b.src[slots] = b.src[eligible]
-        b.cur[slots] = b.src[eligible]
-        b.dest[slots] = b.dest[eligible]
+        b.twin[eligible] = self._start(
+            b.ticket[eligible], b.src[eligible], b.dest[eligible],
+            b.elapsed_ms[eligible], b.deadline_ms[eligible], eligible,
+        )
+
+    def _start(
+        self,
+        tickets: np.ndarray,
+        src: np.ndarray,
+        dest: np.ndarray,
+        elapsed_ms,
+        deadline_ms,
+        twin,
+    ) -> np.ndarray:
+        """Start first-attempt runners at their sources; returns their slots.
+
+        A runner started with a twin (``twin >= 0``) is that twin's hedge.
+        """
+        b = self.batcher
+        slots = b.alloc(int(tickets.size))
+        b.ticket[slots] = tickets
+        b.src[slots] = src
+        b.cur[slots] = src
+        b.dest[slots] = dest
         b.hops[slots] = 0
-        b.elapsed_ms[slots] = b.elapsed_ms[eligible]
-        b.deadline_ms[slots] = b.deadline_ms[eligible]
+        b.elapsed_ms[slots] = elapsed_ms
+        b.deadline_ms[slots] = deadline_ms
         b.attempt[slots] = 1
         b.wait[slots] = 0
-        b.is_hedge[slots] = True
-        b.twin[slots] = eligible
-        b.twin[eligible] = slots
+        b.twin[slots] = twin
+        b.is_hedge[slots] = np.asarray(twin) >= 0
         b.state[slots] = RUNNING
+        return slots
 
     # ------------------------------------------------------- completions
 
     def _stage_complete(
         self,
-        stage: "_CompletionStage",
+        stage: List[CompletionBatch],
         slots: np.ndarray,
         status: int,
-        success,
-    ) -> int:
+        success: bool,
+    ) -> None:
         """Complete tickets (first runner wins; hedge siblings cancelled)."""
         b = self.batcher
-        completed = 0
-        for s in slots.tolist():
-            if b.state[s] == FREE:
-                continue  # its sibling won earlier in this pass
-            t = int(b.twin[s])
-            if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
-                self.counters["hedge_cancelled"] += 1
-                if bool(b.is_hedge[s]):
-                    self.counters["hedge_wins"] += 1
-                b.release(np.asarray([t], dtype=np.int64))
-            stage.add_slot(b, s, status, bool(success))
-            b.release(np.asarray([s], dtype=np.int64))
-            completed += 1
-        return completed
-
-    def _emit(self, stage: "_CompletionStage") -> None:
-        batch = stage.batch()
-        if batch is None:
+        slots = slots[b.state[slots] != FREE]
+        _, first = np.unique(b.ticket[slots], return_index=True)
+        slots = slots[np.sort(first)]
+        if not slots.size:
             return
+        if status in _COUNTER_OF:
+            self.counters[_COUNTER_OF[status]] += int(slots.size)
+        live = self._live_twin(slots)
+        self.counters["hedge_cancelled"] += int(np.count_nonzero(live))
+        self.counters["hedge_wins"] += int(np.count_nonzero(live & b.is_hedge[slots]))
+        stage.append(self._gather(slots, status, success))
+        # Release each cancelled twin just before its winner, so the LIFO
+        # free list hands slots out in completion order.
+        order = np.stack([np.where(live, b.twin[slots], -1), slots], axis=1).ravel()
+        b.release(order[order >= 0])
+
+    def _gather(self, slots: np.ndarray, status: int, success: bool) -> CompletionBatch:
+        """The completions of ``slots`` (read before they are released)."""
+        b = self.batcher
+        return _completions(
+            status, success, b.ticket[slots], b.src[slots], b.dest[slots],
+            b.cur[slots], b.hops[slots], b.elapsed_ms[slots], b.attempt[slots],
+        )
+
+    def _emit(self, stage: List[CompletionBatch]) -> None:
+        if not stage:
+            return
+        batch = CompletionBatch(**_concat(stage))
         self.completed_tickets += batch.size
         self.counters["completed"] += batch.size
         delivered = int(np.count_nonzero(batch.delivered))
@@ -543,16 +530,7 @@ class ServeRuntime:
                 )
         for mw in self.middlewares:
             mw.after_complete(batch)
-        done = self._done
-        done["tickets"].append(batch.tickets)
-        done["sources"].append(batch.sources)
-        done["keys"].append(batch.keys)
-        done["terminals"].append(batch.terminals)
-        done["hops"].append(batch.hops)
-        done["latency_ms"].append(batch.latency_ms)
-        done["attempts"].append(batch.attempts)
-        done["success"].append(batch.success)
-        done["status"].append(batch.status)
+        self._done.append(batch)
 
     def _inc_obs(self, name: str, n: int) -> None:
         registry = obs_metrics.active_registry()
@@ -560,70 +538,54 @@ class ServeRuntime:
             registry.counter(name).inc(n)
 
 
-class _CompletionStage:
-    """Per-tick accumulator assembling one :class:`CompletionBatch`."""
+def _completions(
+    status: int, success: bool, tickets, sources, keys, terminals, hops,
+    latency_ms, attempts,
+) -> CompletionBatch:
+    """One :class:`CompletionBatch` with a shared status and verdict."""
+    n = tickets.size
+    return CompletionBatch(
+        tickets=tickets, sources=sources, keys=keys, terminals=terminals,
+        hops=hops, latency_ms=latency_ms, attempts=attempts,
+        success=np.full(n, success, dtype=bool),
+        status=np.full(n, status, dtype=np.int16),
+    )
 
-    def __init__(self) -> None:
-        self.tickets: List[int] = []
-        self.sources: List[int] = []
-        self.keys: List[int] = []
-        self.terminals: List[int] = []
-        self.hops: List[int] = []
-        self.latency_ms: List[float] = []
-        self.attempts: List[int] = []
-        self.success: List[bool] = []
-        self.status: List[int] = []
 
-    def add_slot(
-        self, b: FrontierBatcher, slot: int, status: int, success: bool
-    ) -> None:
-        self.tickets.append(int(b.ticket[slot]))
-        self.sources.append(int(b.src[slot]))
-        self.keys.append(int(b.dest[slot]))
-        self.terminals.append(int(b.cur[slot]))
-        self.hops.append(int(b.hops[slot]))
-        self.latency_ms.append(float(b.elapsed_ms[slot]))
-        self.attempts.append(int(b.attempt[slot]))
-        self.success.append(success)
-        self.status.append(status)
-
-    def add_immediate(
-        self,
-        tickets: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        idx: np.ndarray,
-        status: int,
-    ) -> None:
-        """Submit-time completions (denied/shed): never entered the frontier."""
-        for i in idx.tolist():
-            self.tickets.append(int(tickets[i]))
-            self.sources.append(int(src[i]))
-            self.keys.append(int(dst[i]))
-            self.terminals.append(int(src[i]))
-            self.hops.append(0)
-            self.latency_ms.append(0.0)
-            self.attempts.append(0)
-            self.success.append(False)
-            self.status.append(status)
-
-    def batch(self) -> Optional[CompletionBatch]:
-        if not self.tickets:
-            return None
-        return CompletionBatch(
-            tickets=np.asarray(self.tickets, dtype=np.int64),
-            sources=np.asarray(self.sources, dtype=np.uint64),
-            keys=np.asarray(self.keys, dtype=np.uint64),
-            terminals=np.asarray(self.terminals, dtype=np.uint64),
-            hops=np.asarray(self.hops, dtype=np.int64),
-            latency_ms=np.asarray(self.latency_ms, dtype=np.float64),
-            attempts=np.asarray(self.attempts, dtype=np.int32),
-            success=np.asarray(self.success, dtype=bool),
-            status=np.asarray(self.status, dtype=np.int16),
-        )
+def _concat(parts: Sequence[CompletionBatch]) -> Dict[str, np.ndarray]:
+    """Every completion column of ``parts``, concatenated in order."""
+    return {
+        f.name: np.concatenate([getattr(p, f.name) for p in parts])
+        for f in fields(CompletionBatch)
+    }
 
 
 # ---------------------------------------------------------------- drivers
+
+
+def _run(
+    runtime: ServeRuntime,
+    sources: Sequence[int],
+    keys: Sequence[int],
+    room: Callable[[ServeRuntime], int],
+    on_tick: Optional[Callable[[ServeRuntime, int], None]],
+) -> ServeReport:
+    """Submit up to ``room(runtime)`` lookups, then tick; until drained."""
+    src = np.asarray(sources, dtype=np.uint64)
+    dst = np.asarray(keys, dtype=np.uint64)
+    total = int(src.size)
+    i = 0
+    ticks = 0
+    while i < total or runtime.in_flight:
+        take = min(room(runtime), total - i)
+        if take > 0:
+            runtime.submit_many(src[i : i + take], dst[i : i + take])
+            i += take
+        runtime.tick()
+        ticks += 1
+        if on_tick is not None:
+            on_tick(runtime, ticks)
+    return runtime.report()
 
 
 def run_closed_loop(
@@ -638,22 +600,9 @@ def run_closed_loop(
     ``on_tick(runtime, tick_index)`` runs after every tick — the hook for
     injecting churn and swapping in a recompiled view mid-run.
     """
-    src = np.asarray(sources, dtype=np.uint64)
-    dst = np.asarray(keys, dtype=np.uint64)
-    total = int(src.size)
-    i = 0
-    ticks = 0
-    while i < total or runtime.in_flight:
-        room = concurrency - runtime.outstanding
-        if room > 0 and i < total:
-            take = min(room, total - i)
-            runtime.submit_many(src[i : i + take], dst[i : i + take])
-            i += take
-        runtime.tick()
-        ticks += 1
-        if on_tick is not None:
-            on_tick(runtime, ticks)
-    return runtime.report()
+    return _run(
+        runtime, sources, keys, lambda rt: concurrency - rt.outstanding, on_tick
+    )
 
 
 def run_open_loop(
@@ -665,18 +614,4 @@ def run_open_loop(
 ) -> ServeReport:
     """Offered-rate driver: ``per_tick`` lookups submitted every tick,
     regardless of completions (admission control does the protecting)."""
-    src = np.asarray(sources, dtype=np.uint64)
-    dst = np.asarray(keys, dtype=np.uint64)
-    total = int(src.size)
-    i = 0
-    ticks = 0
-    while i < total or runtime.in_flight:
-        if i < total:
-            take = min(per_tick, total - i)
-            runtime.submit_many(src[i : i + take], dst[i : i + take])
-            i += take
-        runtime.tick()
-        ticks += 1
-        if on_tick is not None:
-            on_tick(runtime, ticks)
-    return runtime.report()
+    return _run(runtime, sources, keys, lambda rt: per_tick, on_tick)

@@ -1,4 +1,4 @@
-"""Tests for phase timers and the sampling profiler (`repro.obs.profile`)."""
+"""Tests for the phase timers (`repro.obs.profile`)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.obs.profile import PhaseProfiler, SamplingProfiler
+from repro.obs.profile import PhaseProfiler
 
 
 class TestPhaseProfiler:
@@ -59,38 +59,3 @@ class TestPhaseProfiler:
 
     def test_empty_report(self):
         assert PhaseProfiler().report() == "no phases recorded"
-
-
-class TestSamplingProfiler:
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(interval=0)
-
-    def test_samples_busy_work(self):
-        def busy(deadline):
-            total = 0
-            while time.perf_counter() < deadline:
-                total += sum(range(100))
-            return total
-
-        with SamplingProfiler(interval=0.001) as prof:
-            busy(time.perf_counter() + 0.08)
-        assert prof.total_samples > 0
-        assert any("busy" in key for key, _ in prof.top(50))
-        assert "%" in prof.report(5)
-
-    def test_double_start_rejected(self):
-        prof = SamplingProfiler()
-        prof.start()
-        try:
-            with pytest.raises(RuntimeError):
-                prof.start()
-        finally:
-            prof.stop()
-
-    def test_stop_is_idempotent(self):
-        prof = SamplingProfiler()
-        prof.start()
-        prof.stop()
-        prof.stop()
-        assert prof.report() == "no samples collected" or prof.total_samples >= 0

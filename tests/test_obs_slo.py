@@ -19,7 +19,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.quantiles import (
     DEFAULT_RESERVOIR_CAP,
-    P2Quantile,
     ReservoirSample,
     bucket_quantile,
     percentile,
@@ -89,28 +88,6 @@ def test_reservoir_quantiles_converge(seed):
     for q in (0.5, 0.95):
         exact = float(np.percentile(data, q * 100))
         assert sample.quantile(q) == pytest.approx(exact, abs=5.0)
-
-
-# ----------------------------------------------------------------- P2Quantile
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000_000))
-def test_p2_tracks_the_median(seed):
-    rng = random.Random(seed)
-    data = [rng.uniform(0.0, 1000.0) for _ in range(3000)]
-    est = P2Quantile(0.5)
-    for v in data:
-        est.observe(v)
-    exact = float(np.percentile(data, 50))
-    assert est.value == pytest.approx(exact, rel=0.1, abs=20.0)
-
-
-def test_p2_small_streams_are_exact():
-    est = P2Quantile(0.5)
-    for v in (3.0, 1.0, 2.0):
-        est.observe(v)
-    assert est.value == 2.0  # below 5 observations: exact order statistic
 
 
 # ------------------------------------------------- Histogram + snapshot wiring

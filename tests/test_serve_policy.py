@@ -11,9 +11,12 @@ complete lookups without serving them, with their own statuses.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import collecting
 from repro.obs.slo import SLOReport
@@ -21,6 +24,7 @@ from repro.serve import (
     NO_POLICY,
     STATUS_DEADLINE,
     STATUS_DENIED,
+    STATUS_FAIL,
     STATUS_OK,
     STATUS_SHED,
     DomainACL,
@@ -31,6 +35,7 @@ from repro.serve import (
     compile_protocol_view,
     run_open_loop,
 )
+from repro.serve.batcher import FREE
 from repro.serve.testbed import build_serving_net, domain_labeler, lookup_workload
 
 SEEDS = (21, 22, 23)
@@ -143,6 +148,239 @@ class TestOutcomeInvariance:
         assert report.counters["retries"] > 0
         # A retry consumes a fresh attempt; the report must show it.
         assert int(report.attempts.max()) > 1
+
+
+class _ScriptedNet:
+    """A compiled-view stand-in whose step outcomes each test scripts.
+
+    A runner on node ``n`` moves to ``n + 1`` unless ``finish`` holds
+    ``n``: then it stops there with verdict ``finish[n]``.  Hop costs fall
+    back to the policy's ``hop_ms``.
+    """
+
+    def __init__(self) -> None:
+        self.finish = {}
+
+    def _latency_state(self, latency):
+        return None
+
+    def frontier_step(self, cur, dest, alive, lat_state):
+        nodes = cur.tolist()
+        stop = np.asarray([n in self.finish for n in nodes], dtype=bool)
+        success = np.asarray([self.finish.get(n, False) for n in nodes], dtype=bool)
+        return np.where(stop, cur, cur + np.uint64(1)), ~stop, success, None
+
+
+def _scripted(policy, sources):
+    """A runtime over a :class:`_ScriptedNet`, one lookup per source."""
+    net = _ScriptedNet()
+    runtime = ServeRuntime(net, policy=policy)
+    runtime.submit_many(sources, [999] * len(sources))
+    return net, runtime
+
+
+def _assert_free_list_sound(runtime):
+    free = runtime.batcher._free
+    assert len(free) == len(set(free))
+    assert np.all(runtime.batcher.state[free] == FREE)
+
+
+class TestTwinPairs:
+    """Hedge-pair resolution when both runners of a ticket act in one tick.
+
+    Every test starts lookups at nodes 10 and 20 (hedges every runner
+    after tick 1) and scripts tick 2 and later; originals then stand one
+    node past their source, hedges on it.
+    """
+
+    HEDGE = ServePolicy(hedge_quantile=0.5)
+
+    def test_hedge_win_does_not_resurrect_a_failing_original(self):
+        # The hedges finish OK while their originals fail with attempts
+        # left: the originals' slots are already released and must not
+        # be retried.
+        policy = ServePolicy(hedge_quantile=0.5, max_attempts=2)
+        net, runtime = _scripted(policy, [10, 20])
+        runtime.tick()
+        assert runtime.counters["hedges"] == 2
+        net.finish.update({11: False, 21: False, 10: True, 20: True})
+        runtime.drain()
+        for _ in range(8):  # past any retry backoff
+            runtime.tick()
+        report = runtime.report()
+        assert report.size == 2
+        assert sorted(report.tickets.tolist()) == [0, 1]
+        assert report.terminals.tolist() == [10, 20]
+        c = report.counters
+        assert (c["completed"], c["delivered"], c["retries"]) == (2, 2, 0)
+        assert (c["hedge_wins"], c["hedge_cancelled"]) == (2, 2)
+        assert runtime.in_flight == 0
+        _assert_free_list_sound(runtime)
+
+    def test_both_runners_ok_earlier_slot_wins(self):
+        # Lookup 0 finishes in tick 1 and frees slot 0, so the hedge of
+        # lookup 1 takes slot 0 (before its original's slot 1) while the
+        # hedge of lookup 2 takes slot 3 (after its original's slot 2).
+        net, runtime = _scripted(self.HEDGE, [100, 10, 20])
+        net.finish[100] = True
+        runtime.tick()
+        assert runtime.counters["hedges"] == 2
+        assert runtime.batcher.twin[[1, 2]].tolist() == [0, 3]
+        net.finish.update({10: True, 11: True, 20: True, 21: True})
+        runtime.tick()
+        report = runtime.report()
+        assert report.tickets.tolist() == [0, 1, 2]
+        # Lookup 1's hedge (slot 0) won standing on its source; lookup
+        # 2's original (slot 2) won one hop in.
+        assert report.terminals.tolist() == [100, 10, 21]
+        assert report.hops.tolist() == [0, 0, 1]
+        c = report.counters
+        assert (c["completed"], c["hedge_wins"], c["hedge_cancelled"]) == (3, 1, 2)
+        assert runtime.in_flight == 0
+        # Each cancelled twin is released just before its winner.
+        assert runtime.batcher._free[-4:] == [1, 0, 3, 2]
+        _assert_free_list_sound(runtime)
+
+    def test_both_runners_fail_first_dropped_second_completes(self):
+        net, runtime = _scripted(self.HEDGE, [10, 20])
+        runtime.tick()
+        b = runtime.batcher
+        hedges = b.twin[[0, 1]].tolist()
+        assert hedges == [2, 3]
+        net.finish.update({10: False, 11: False, 20: False, 21: False})
+        runtime.tick()
+        report = runtime.report()
+        # The originals (earlier slots) were dropped; the hedges completed
+        # as plain failures, cancelling nothing more.
+        assert report.tickets.tolist() == [0, 1]
+        assert report.terminals.tolist() == [10, 20]
+        assert report.status.tolist() == [STATUS_FAIL, STATUS_FAIL]
+        c = report.counters
+        assert (c["failed"], c["hedge_cancelled"], c["hedge_wins"]) == (2, 2, 0)
+        assert b._free[-4:] == [0, 1, 2, 3]
+        assert runtime.in_flight == 0
+        _assert_free_list_sound(runtime)
+
+    def test_completion_without_live_twin_releases_one_slot(self):
+        net, runtime = _scripted(self.HEDGE, [10, 20])
+        runtime.tick()
+        # Tick 2: lookup 0's hedge fails and is dropped (its original
+        # races on, untwinned); lookup 1's original wins and cancels its
+        # hedge.  Only lookup 0's original is left.
+        net.finish.update({10: False, 21: True})
+        runtime.tick()
+        b = runtime.batcher
+        assert runtime.in_flight == 1
+        assert b.twin[0] == -1
+        free_before = list(b._free)
+        net.finish[12] = True
+        runtime.tick()
+        assert b._free == free_before + [0]
+        report = runtime.report()
+        assert report.tickets.tolist() == [1, 0]
+        assert report.terminals.tolist() == [21, 12]
+        c = report.counters
+        assert (c["completed"], c["hedge_cancelled"], c["hedge_wins"]) == (2, 2, 0)
+        _assert_free_list_sound(runtime)
+
+
+def _loop_stage_complete(runtime, slots):
+    """Reference: complete failed ``slots`` one at a time, in order."""
+    b = runtime.batcher
+    done = []
+    for s in slots.tolist():
+        if b.state[s] == FREE:
+            continue
+        t = int(b.twin[s])
+        if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
+            runtime.counters["hedge_cancelled"] += 1
+            if b.is_hedge[s]:
+                runtime.counters["hedge_wins"] += 1
+            b.release(np.asarray([t]))
+        done.append((int(b.ticket[s]), int(b.cur[s]), int(b.hops[s])))
+        b.release(np.asarray([s]))
+    runtime.counters["failed"] += len(done)
+    return done
+
+
+def _loop_drop_if_twin_alive(runtime, slots):
+    """Reference: drop each failing runner whose twin races on, in order."""
+    b = runtime.batcher
+    keep = []
+    for s in slots.tolist():
+        t = int(b.twin[s])
+        if t >= 0 and b.state[t] != FREE and b.ticket[t] == b.ticket[s]:
+            runtime.counters["hedge_cancelled"] += 1
+            b.twin[t] = -1
+            b.release(np.asarray([s]))
+        else:
+            keep.append(s)
+    return keep
+
+
+@st.composite
+def _runner_states(draw):
+    """A runtime holding originals, hedge pairs and stale twin links.
+
+    Stale links come from releasing a runner without unlinking its twin
+    and handing its slot to a new ticket, so every ticket still has at
+    most two runners in flight, twinned to each other.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    runtime = ServeRuntime(_ScriptedNet())
+    b = runtime.batcher
+    srcs = np.arange(n, dtype=np.uint64) + np.uint64(10)
+    slots = runtime._start(np.arange(n), srcs, srcs, 0.0, np.inf, -1)
+    hedged = slots[draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+    if hedged.size:
+        b.twin[hedged] = runtime._start(
+            b.ticket[hedged], b.src[hedged], b.dest[hedged], 1.0, np.inf, hedged
+        )
+    occupied = np.flatnonzero(b.state != FREE).tolist()
+    gone = draw(st.lists(st.sampled_from(occupied), unique=True, max_size=4))
+    b.release(np.asarray(gone, dtype=np.int64))
+    reused = draw(st.integers(min_value=0, max_value=len(gone)))
+    if reused:
+        fresh = np.full(reused, 99, dtype=np.uint64)
+        runtime._start(np.arange(n, n + reused), fresh, fresh, 0.0, np.inf, -1)
+    b.hops[:] = np.arange(b.capacity)
+    b.cur[:] = np.arange(b.capacity, dtype=np.uint64) * np.uint64(3)
+    return runtime
+
+
+class TestMasksMatchPerSlotLoops:
+    """The masked twin resolution equals the per-slot loops it replaced."""
+
+    @staticmethod
+    def _state(runtime):
+        b = runtime.batcher
+        return (dict(runtime.counters), list(b._free), b.state.tolist(),
+                b.ticket.tolist(), b.twin.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=_runner_states(), data=st.data())
+    def test_stage_complete(self, state, data):
+        # Any slots in any order, free ones included (at most 20 are used).
+        order = data.draw(st.permutations(range(24)))
+        slots = np.asarray(order[: data.draw(st.integers(0, 24))], dtype=np.int64)
+        masked, loop = state, copy.deepcopy(state)
+        stage = []
+        masked._stage_complete(stage, slots, STATUS_FAIL, False)
+        expected = _loop_stage_complete(loop, slots)
+        got = [(int(t), int(c), int(h)) for batch in stage
+               for t, c, h in zip(batch.tickets, batch.terminals, batch.hops)]
+        assert got == expected
+        assert self._state(masked) == self._state(loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(state=_runner_states(), data=st.data())
+    def test_drop_if_twin_alive(self, state, data):
+        live = np.flatnonzero(state.batcher.state != FREE).tolist()
+        slots = np.asarray(data.draw(st.permutations(live)), dtype=np.int64)
+        masked, loop = state, copy.deepcopy(state)
+        kept = masked._drop_if_twin_alive(slots).tolist()
+        assert kept == _loop_drop_if_twin_alive(loop, slots)
+        assert self._state(masked) == self._state(loop)
 
 
 class TestDomainBuckets:
